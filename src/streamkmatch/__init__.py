@@ -33,7 +33,10 @@ from .core import (
     write_stream,
 )
 from .dynamic_matcher import (
+    FAIL,
     DynamicMatcher,
+    L0Sampler,
+    Sample,
     new_approx_matcher,
     new_dynamic_matcher,
     round_weight,
@@ -61,7 +64,6 @@ from .hashing import (
     universal_eval,
 )
 from .insert_matcher import InsertMatcher, new_insert_matcher, step_budget
-from .l0sampler import FAIL, L0Sampler, Sample, sampler_query, sampler_update
 from .reducer import (
     C_RED,
     ReducerState,

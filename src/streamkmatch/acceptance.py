@@ -15,7 +15,7 @@ import time
 from typing import NamedTuple
 
 from .core import Edge, edge_at_index, materialize
-from .dynamic_matcher import DynamicMatcher
+from .dynamic_matcher import FAIL, DynamicMatcher, L0Sampler
 from .generators import (
     bipartite_matching_size,
     gen_index_hard,
@@ -24,7 +24,6 @@ from .generators import (
 )
 from .hashing import build_hash_scheme, distinguishes
 from .insert_matcher import InsertMatcher
-from .l0sampler import FAIL, L0Sampler
 from .solver import NO_K_MATCHING, brute_force_oracle, max_weight_k_matching
 
 

@@ -1,34 +1,41 @@
-"""Fully dynamic streaming k-matching over a grid of linear sketches.
+"""Fully dynamic streaming k-matching over a grid of l0-samplers.
 
 Every edge update touches d2*d2 grid keys: one per pair (i, j) of the
 two-level hash values of its endpoints, combined with the edge's weight
 (or rounded weight bucket in approximation mode).  Each key owns an
-edge sampler over the universe of vertex pairs; a query draws one edge
+l0-sampler over the universe of vertex pairs; a query draws one edge
 from every live sampler, then solves max-weight k-matching exactly on
 the sampled subgraph.  With the scheme built for parameter 2k and the
 sampler failure rate delta = 1/(20 k^4 ln 2k), the answer is optimal
 with probability at least 1 - 11/(20 k^3 ln 2k).
 
-For speed the samplers are not separate objects: all one-sparse cells
-live in a single flat dict keyed by a packed integer
-(pair, weight-id, repetition, level), and every sampler in the grid
-shares one set of level hashes and one fingerprint base z.  Sharing
-does not disturb the per-sampler failure analysis (each bound is a
-per-cell union bound) and buys an order of magnitude on updates.
+One cell engine, CellGrid, holds every sampler (Cormode & Firmani
+2014).  A sampler is R repetitions, each subsampling the universe at
+geometric rates (level l keeps index x iff the repetition's hash of x
+is divisible by 2^l) with a one-sparse recovery cell per level.  A
+cell holds the sums (count, sum of i, sum of payload, sum of z^i); it
+decodes when its level holds a single live index, and the fingerprint
+makes a false decode vanishingly unlikely.  Only the cell of an
+index's exact level is stored; query time takes suffix sums.
 
-Cells carry a fourth counter, the sum of true edge weights, so that
-approximation mode can report exact weights for the edges it samples
-even though its grid keys only know the rounded bucket.
+All cells live in one dict keyed by (sampler base, repetition, level),
+and all samplers share the level hashes and the fingerprint base z.
+Sharing keeps each per-sampler failure bound (a per-cell union bound)
+and buys an order of magnitude on updates.  A matcher sampler's base
+is weight key * d4^2 + pair, so weights need no registry; L0Sampler is
+the grid's single sampler at base 0.  The matcher's payload is the
+true weight, so approximation mode reports exact weights although its
+keys only know the rounded bucket.  Every field is a sum: deletions
+are exact inverses, and grids with the same randomness merge cell-wise.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
-    DELETE,
     Edge,
     INSERT,
     InvalidParameter,
@@ -39,9 +46,6 @@ from .core import (
 )
 from .hashing import FIELD_PRIME, build_hash_scheme, random_kwise, scheme_eval
 from .solver import NO_K_MATCHING, max_weight_k_matching
-
-_WID_CAP = 4096  # distinct weight keys supported per grid
-_RL_BITS = 9     # repetition/level packed into (rep << 5) | level
 
 
 def default_delta(k: int) -> float:
@@ -64,7 +68,200 @@ def round_weight(w, epsilon: float) -> int:
     return t
 
 
-class DynamicMatcher:
+class Fail:
+    """Sentinel: the sampler could not decode any live index."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "Fail"
+
+    def __bool__(self):
+        return False
+
+
+FAIL = Fail()
+
+
+class Sample(NamedTuple):
+    index: int
+    count: int  # multiplicity of the decoded index
+
+
+def _bump(counts: dict, key, d) -> None:
+    """Add d to counts[key], dropping the key when it reaches zero."""
+    c = counts.get(key, 0) + d
+    if c:
+        counts[key] = c
+    else:
+        del counts[key]
+
+
+class CellGrid:
+    """Many l0-samplers over [0, universe) sharing hashes and cells.
+
+    A sampler is named by an integer base; `_counts` keeps the net
+    count of each sampler that has one.  Only positive counts decode:
+    a suffix whose count is zero or negative (a delete whose insert has
+    not arrived) is skipped.
+    """
+
+    def __init__(self, universe: int, delta: float, rng):
+        if universe < 1:
+            raise InvalidParameter("universe size must be >= 1")
+        if not (0 < delta < 1):
+            raise InvalidParameter("delta must lie in (0, 1)")
+        self.universe = universe
+        self.delta = delta
+        self.levels = max(1, math.ceil(math.log2(max(universe, 2)))) + 1
+        self.reps = max(1, math.ceil(math.log2(1 / delta)))
+        kappa = self.reps + 2
+        span = 1 << (self.levels - 1)
+        self.level_hashes = [
+            random_kwise(kappa, span, rng) for _ in range(self.reps)
+        ]
+        self.z = rng.randrange(1, FIELD_PRIME)
+        self.cells = {}   # (base, rep, exact level) packed -> [c0, c1, payload, fp]
+        self._counts = {}  # base -> net count, zeros dropped
+        # a cell key is (base << _shift) | (rep << _lev_bits) | level
+        self._lev_bits = (self.levels - 1).bit_length()
+        self._shift = self._lev_bits + (self.reps - 1).bit_length()
+
+    def _add(self, bases, index: int, d: int, payload) -> None:
+        """Add d copies of index, each carrying payload, to every sampler
+        in bases."""
+        top = self.levels - 1
+        lev_bits = self._lev_bits
+        rls = []
+        for rep, g in enumerate(self.level_hashes):
+            val = g(index)
+            lev = (val & -val).bit_length() - 1 if val else top
+            rls.append((rep << lev_bits) | lev)
+        di = d * index
+        dp = d * payload
+        dz = d * pow(self.z, index, FIELD_PRIME)
+        cells = self.cells
+        cget = cells.get
+        counts = self._counts
+        shift = self._shift
+        for base in bases:
+            _bump(counts, base, d)
+            kb = base << shift
+            for rl in rls:
+                key = kb | rl
+                cell = cget(key)
+                if cell is None:
+                    cells[key] = [d, di, dp, dz]
+                else:
+                    cell[0] += d
+                    cell[1] += di
+                    cell[2] += dp
+                    cell[3] += dz
+                    if not (cell[0] or cell[1] or cell[2] or cell[3]):
+                        del cells[key]
+
+    def _decode(self, bases):
+        """Query each sampler in bases once.  Returns the decoded
+        (index, count, payload per copy) triples and the fail count."""
+        q = FIELD_PRIME
+        z = self.z
+        universe = self.universe
+        cget = self.cells.get
+        shift = self._shift
+        lev_bits = self._lev_bits
+        reps = range(self.reps)
+        levels = range(self.levels - 1, -1, -1)
+        zpow = {}  # z^j of the candidates this query has seen
+        found = []
+        fails = 0
+        for base in bases:
+            kb = base << shift
+            got = None
+            for rep in reps:
+                rb = kb | (rep << lev_bits)
+                c0 = c1 = c2 = fp = 0
+                for lev in levels:
+                    c = cget(rb | lev)
+                    if c is not None:
+                        c0 += c[0]
+                        c1 += c[1]
+                        c2 += c[2]
+                        fp += c[3]
+                    if c0 <= 0 or c1 % c0:
+                        continue
+                    j = c1 // c0
+                    if not 0 <= j < universe:
+                        continue
+                    zj = zpow.get(j)
+                    if zj is None:
+                        zj = zpow[j] = pow(z, j, q)
+                    if (fp - c0 * zj) % q == 0:
+                        if c2 % c0 == 0:
+                            got = (j, c0, c2 // c0)
+                        break
+                if got is not None:
+                    break
+            if got is None:
+                fails += 1
+            else:
+                found.append(got)
+        return found, fails
+
+    def _merge_cells(self, other: "CellGrid") -> None:
+        """Cell-wise add of a grid built with the same randomness."""
+        cells = self.cells
+        for key, c in other.cells.items():
+            mine = cells.get(key)
+            if mine is None:
+                cells[key] = list(c)
+            else:
+                for idx in range(4):
+                    mine[idx] += c[idx]
+                if not (mine[0] or mine[1] or mine[2] or mine[3]):
+                    del cells[key]
+        for base, cnt in other._counts.items():
+            _bump(self._counts, base, cnt)
+
+
+class L0Sampler(CellGrid):
+    """One l0-sampler: the grid's sampler at base 0, payload 0."""
+
+    def update(self, index: int, delta: int) -> None:
+        if not (0 <= index < self.universe):
+            raise InvalidParameter(f"index {index} outside universe")
+        if delta:
+            self._add((0,), index, delta, 0)
+
+    def query(self):
+        """A decoded (index, multiplicity), or FAIL."""
+        found, _ = self._decode((0,))
+        return Sample(*found[0][:2]) if found else FAIL
+
+    def merge(self, other: "L0Sampler") -> None:
+        """Cell-wise addition; both samplers must share hashes and z."""
+        if (
+            other.universe != self.universe
+            or other.level_hashes != self.level_hashes
+            or other.z != self.z
+        ):
+            raise InvalidParameter("samplers built with different randomness")
+        self._merge_cells(other)
+
+    def cells_snapshot(self) -> str:
+        """Cells as sorted decimal integer lines: rep, level, c0, c1, fp."""
+        rep_of, lev_mask = self._lev_bits, (1 << self._lev_bits) - 1
+        return "\n".join(
+            f"{key >> rep_of} {key & lev_mask} {c[0]} {c[1]} {c[3] % FIELD_PRIME}"
+            for key, c in sorted(self.cells.items())
+        )
+
+
+class DynamicMatcher(CellGrid):
     def __init__(self, n: int, k: int, rng, epsilon=None, delta=None, validate=False):
         if k < 1:
             raise InvalidParameter("k must be >= 1")
@@ -75,28 +272,15 @@ class DynamicMatcher:
         self.n = n
         self.k = k
         self.epsilon = epsilon
-        self.delta = default_delta(k) if delta is None else delta
-        if not (0 < self.delta < 1):
-            raise InvalidParameter("delta must lie in (0, 1)")
+        # the scheme draws from rng before the grid: seeded answers
+        # depend on that order
         self.scheme = build_hash_scheme(n, 2 * k, rng)
-        self.universe = n * (n - 1) // 2
-        self.levels = max(1, math.ceil(math.log2(max(self.universe, 2)))) + 1
-        if self.levels > 32:
-            raise InvalidParameter("vertex count too large for this grid")
-        self.reps = max(1, math.ceil(math.log2(1 / self.delta)))
-        kappa = self.reps + 2
-        span = 1 << (self.levels - 1)
-        self.level_hashes = [
-            random_kwise(kappa, span, rng) for _ in range(self.reps)
-        ]
-        self.z = rng.randrange(1, FIELD_PRIME)
-        self.cells = {}
-        self.pairs = {}          # pair id -> ordered list of live weight keys
-        self._counts = {}        # (pair id, weight id) packed -> live edges
-        self._wids = {}          # weight key -> small int
-        self._weight_counts = {} # true weight -> live edge count
-        self._vcache = {}        # vertex -> tuple of scheme values
-        self._ecache = {}        # eid -> (packed rep/level tuple, z^eid)
+        if delta is None:
+            delta = default_delta(k)
+        super().__init__(n * (n - 1) // 2, delta, rng)
+        self._weight_keys = set()  # every weight key seen
+        self._weight_counts = {}   # true weight -> live edge count
+        self._vcache = {}          # vertex -> tuple of scheme values
         self._live = {} if validate else None
         # instrumentation
         self.updates = 0
@@ -112,131 +296,39 @@ class DynamicMatcher:
             got = self._vcache[x] = tuple(scheme_eval(self.scheme, x))
         return got
 
-    def _edge_entry(self, eid: int):
-        ent = self._ecache.get(eid)
-        if ent is None:
-            top = self.levels - 1
-            levs = []
-            for rix, g in enumerate(self.level_hashes):
-                val = g(eid)
-                lev = top if val == 0 else min((val & -val).bit_length() - 1, top)
-                levs.append((rix << 5) | lev)
-            ent = self._ecache[eid] = (tuple(levs), pow(self.z, eid, FIELD_PRIME))
-        return ent
-
     def process_update(self, el: StreamElement) -> None:
         e, op = el
         d = 1 if op == INSERT else -1
         u, v, w = e
+        if not 0 <= u < v < self.n:
+            raise MalformedStream(self.updates, f"bad endpoints ({u}, {v})")
+        if not isinstance(w, int):
+            # a weight is part of the cell key (exact mode) and of the
+            # cell sums that must cancel exactly (both modes)
+            raise InvalidParameter(
+                f"dynamic weights must be integers, got {w!r}: scale real "
+                "weights to integers, and set epsilon to round a wide range "
+                "into few weight keys"
+            )
         if self._live is not None:
-            self._check(el, u, v, w, d)
-        if self.epsilon is None:
-            key_w = w
-        else:
-            key_w = round_weight(w, self.epsilon)
-        wid = self._wids.get(key_w)
-        if wid is None:
-            wid = self._wids[key_w] = len(self._wids)
-            if wid >= _WID_CAP:
-                raise InvalidParameter("too many distinct weight keys")
-        eid = u * self.n - u * (u + 1) // 2 + (v - u - 1)
-        levs, zj = self._edge_entry(eid)
+            self._check(u, v, w, d)
+        key_w = w if self.epsilon is None else round_weight(w, self.epsilon)
+        self._weight_keys.add(key_w)
         hu = self._vhash(u)
         hv = self._vhash(v)
-        dz = d * zj
-        di = d * eid
-        dw = d * w
-        cells = self.cells
-        cget = cells.get
-        pairs = self.pairs
-        counts = self._counts
         d4 = self.scheme.d4
-        if d == 1:
-            for i in hu:
-                ibase = i * d4
-                for j in hv:
-                    pb = ibase + j
-                    k2 = pb * _WID_CAP + wid
-                    c = counts.get(k2)
-                    if c is None:
-                        counts[k2] = 1
-                        lst = pairs.get(pb)
-                        if lst is None:
-                            pairs[pb] = [key_w]
-                        else:
-                            insort(lst, key_w)
-                    elif c == -1:
-                        # shard ingestion can see the delete first
-                        del counts[k2]
-                        lst = pairs[pb]
-                        lst.remove(key_w)
-                        if not lst:
-                            del pairs[pb]
-                    else:
-                        counts[k2] = c + 1
-                    kb = k2 << _RL_BITS
-                    for rl in levs:
-                        key = kb | rl
-                        cell = cget(key)
-                        if cell is None:
-                            cells[key] = [1, di, dw, dz]
-                        else:
-                            cell[0] += 1
-                            cell[1] += di
-                            cell[2] += dw
-                            cell[3] += dz
-                            if not (cell[0] or cell[1] or cell[2] or cell[3]):
-                                del cells[key]
-        else:
-            for i in hu:
-                ibase = i * d4
-                for j in hv:
-                    pb = ibase + j
-                    k2 = pb * _WID_CAP + wid
-                    c = counts.get(k2)
-                    if c is None:
-                        counts[k2] = -1
-                        lst = pairs.get(pb)
-                        if lst is None:
-                            pairs[pb] = [key_w]
-                        else:
-                            insort(lst, key_w)
-                    elif c == 1:
-                        del counts[k2]
-                        lst = pairs[pb]
-                        lst.remove(key_w)
-                        if not lst:
-                            del pairs[pb]
-                    else:
-                        counts[k2] = c - 1
-                    kb = k2 << _RL_BITS
-                    for rl in levs:
-                        key = kb | rl
-                        cell = cget(key)
-                        if cell is None:
-                            cells[key] = [-1, di, dw, dz]
-                        else:
-                            cell[0] -= 1
-                            cell[1] += di
-                            cell[2] += dw
-                            cell[3] += dz
-                            if not (cell[0] or cell[1] or cell[2] or cell[3]):
-                                del cells[key]
-        cnt = self._weight_counts.get(w, 0) + d
-        if cnt:
-            self._weight_counts[w] = cnt
-        else:
-            self._weight_counts.pop(w, None)
+        wb = key_w * d4 * d4
+        eid = u * self.n - u * (u + 1) // 2 + (v - u - 1)
+        self._add([wb + i * d4 + j for i in hu for j in hv], eid, d, w)
+        _bump(self._weight_counts, w, d)
         self.updates += 1
         self.last_keys_touched = len(hu) * len(hv)
         if self.last_keys_touched > self.max_keys_touched:
             self.max_keys_touched = self.last_keys_touched
 
-    def _check(self, el, u, v, w, d):
+    def _check(self, u, v, w, d):
         key = (u, v)
-        if u == v or u < 0 or v >= self.n:
-            raise MalformedStream(self.updates, f"bad endpoints ({u}, {v})")
-        if w < 0 or w != int(w):
+        if w < 0:
             raise MalformedStream(self.updates, f"bad dynamic weight {w}")
         if d > 0:
             if key in self._live:
@@ -268,52 +360,10 @@ class DynamicMatcher:
 
     def _sample_edges(self):
         """Query every live sampler once; decoded edges carry true weights."""
-        q = FIELD_PRIME
-        n_univ = self.universe
-        levels = self.levels
-        reps = self.reps
-        cells = self.cells
-        ecache = self._ecache
-        wids = self._wids
-        found = {}
-        fails = 0
-        for pb, live_weights in self.pairs.items():
-            pb_base = pb * _WID_CAP
-            for key_w in live_weights:
-                kb = (pb_base + wids[key_w]) << _RL_BITS
-                got = None
-                for r in range(reps):
-                    rb = kb | (r << 5)
-                    c0 = c1 = c2 = fp = 0
-                    for lev in range(levels - 1, -1, -1):
-                        c = cells.get(rb | lev)
-                        if c is not None:
-                            c0 += c[0]
-                            c1 += c[1]
-                            c2 += c[2]
-                            fp += c[3]
-                        if c0 <= 0 or c1 % c0:
-                            continue
-                        j = c1 // c0
-                        if not 0 <= j < n_univ:
-                            continue
-                        ent = ecache.get(j)
-                        zj = ent[1] if ent is not None else pow(self.z, j, q)
-                        if (fp - c0 * zj) % q == 0:
-                            if c2 % c0 == 0:
-                                got = (j, c2 // c0)
-                            break
-                    if got is not None:
-                        break
-                if got is None:
-                    fails += 1
-                else:
-                    found[got[0]] = got[1]
-        self.last_fail_count = fails
+        found, self.last_fail_count = self._decode(self._counts)
+        weights = {eid: wt for eid, _, wt in found}
         n = self.n
-        return [
-            Edge(*edge_at_index(eid, n), wt) for eid, wt in found.items()
-        ]
+        return [Edge(*edge_at_index(eid, n), wt) for eid, wt in weights.items()]
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -323,7 +373,7 @@ class DynamicMatcher:
 
     @property
     def distinct_weight_keys(self) -> int:
-        return len(self._wids)
+        return len(self._weight_keys)
 
     @property
     def live_sampler_count(self) -> int:
@@ -335,7 +385,6 @@ class DynamicMatcher:
             "distinct_live_weights": self.distinct_live_weights,
             "distinct_weight_keys": self.distinct_weight_keys,
             "live_samplers": self.live_sampler_count,
-            "live_pairs": len(self.pairs),
             "cells": len(self.cells),
             "keys_touched_last": self.last_keys_touched,
             "keys_touched_max": self.max_keys_touched,
@@ -352,57 +401,10 @@ class DynamicMatcher:
             or other.epsilon != self.epsilon
         ):
             raise InvalidParameter("grids built with different randomness")
-        rl_mask = (1 << _RL_BITS) - 1
-        rev = {wid: w for w, wid in other._wids.items()}
-        for okey, c in other.cells.items():
-            rl = okey & rl_mask
-            packed = okey >> _RL_BITS
-            pb, owid = divmod(packed, _WID_CAP)
-            key_w = rev[owid]
-            wid = self._wids.get(key_w)
-            if wid is None:
-                wid = self._wids[key_w] = len(self._wids)
-                if wid >= _WID_CAP:
-                    raise InvalidParameter("too many distinct weight keys")
-            key = ((pb * _WID_CAP + wid) << _RL_BITS) | rl
-            mine = self.cells.get(key)
-            if mine is None:
-                self.cells[key] = list(c)
-            else:
-                for idx in range(4):
-                    mine[idx] += c[idx]
-                if not (mine[0] or mine[1] or mine[2] or mine[3]):
-                    del self.cells[key]
-        for ok2, cnt in other._counts.items():
-            pb, owid = divmod(ok2, _WID_CAP)
-            key_w = rev[owid]
-            k2 = pb * _WID_CAP + self._wids[key_w]
-            total = self._counts.get(k2, 0) + cnt
-            if total:
-                if k2 not in self._counts:
-                    lst = self.pairs.get(pb)
-                    if lst is None:
-                        self.pairs[pb] = [key_w]
-                    else:
-                        insort(lst, key_w)
-                self._counts[k2] = total
-            else:
-                self._counts.pop(k2, None)
-                lst = self.pairs.get(pb)
-                if lst is not None:
-                    try:
-                        lst.remove(key_w)
-                    except ValueError:
-                        pass
-                    if not lst:
-                        del self.pairs[pb]
+        self._merge_cells(other)
         for w, cnt in other._weight_counts.items():
-            total = self._weight_counts.get(w, 0) + cnt
-            if total:
-                self._weight_counts[w] = total
-            else:
-                self._weight_counts.pop(w, None)
-        self._ecache.update(other._ecache)
+            _bump(self._weight_counts, w, cnt)
+        self._weight_keys |= other._weight_keys
         self.updates += other.updates
 
 

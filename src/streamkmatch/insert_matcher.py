@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Edge, InvalidParameter
+from .core import Edge, InvalidParameter, MalformedStream
 from .reducer import C_RED, ReducerState, new_vertex_partition, reduce
 from .solver import NO_K_MATCHING, max_weight_k_matching
 
@@ -68,6 +68,8 @@ class InsertMatcher:
         return total
 
     def process_insert(self, e: Edge) -> None:
+        if not 0 <= e.u < e.v < self.n:
+            raise MalformedStream(self.arrivals, f"bad endpoints ({e.u}, {e.v})")
         self.filling.append(e)
         self.arrivals += 1
         remaining = self.budget

@@ -116,6 +116,13 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["stats"]["distinct_weight_keys"] <= 43
 
+    def test_run_dyn_rejects_out_of_range_vertex(self, tmp_path):
+        # (0, 9) under n=6 would alias a different, never-inserted pair
+        path = tmp_path / "bad.txt"
+        path.write_text("6 1 dyn\n+ 0 9 5\n")
+        code, out = run_cli("run-dyn", str(path))
+        assert code == 2 and out == ""
+
     def test_run_dyn_rejects_ins_stream(self, ins_stream):
         code, _ = run_cli("run-dyn", ins_stream)
         assert code == 2

@@ -1,17 +1,22 @@
 """Fully dynamic matcher: exact mode, approximation mode, merging."""
 
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from streamkmatch import (
+    DELETE,
+    INSERT,
     DynamicMatcher,
     Edge,
     InvalidParameter,
     MalformedStream,
     NO_K_MATCHING,
+    StreamElement,
     delete,
     gen_random_stream,
     insert,
@@ -46,6 +51,16 @@ class TestParameters:
             DynamicMatcher(30, 2, random.Random(1), epsilon=1.5)
         with pytest.raises(InvalidParameter):
             DynamicMatcher(30, 2, random.Random(1), delta=0.0)
+
+    def test_many_repetitions_keep_cell_keys_apart(self):
+        # k >= 7 at the default delta needs 17+ repetitions; the packed
+        # cell key must give every (sampler, repetition) its own cells
+        m = DynamicMatcher(10, 1, random.Random(1), delta=1e-6)
+        assert m.reps == 20
+        m.process_update(insert(0, 1, 5))
+        m.process_update(insert(2, 3, 6))
+        assert len(m.cells) == len(m._counts) * m.reps
+        assert {key >> m._shift for key in m.cells} == set(m._counts)
 
     def test_factories(self):
         assert new_dynamic_matcher(30, 2, random.Random(1)).epsilon is None
@@ -101,7 +116,7 @@ class TestExactMode:
         m.process_update(insert(0, 1, 5))
         m.process_update(delete(0, 1, 5))
         assert m.query() is NO_K_MATCHING
-        assert not m.cells and not m.pairs and not m._counts
+        assert not m.cells and not m._counts
 
     def test_mostly_optimal_on_random_streams(self):
         hits = 0
@@ -144,7 +159,6 @@ class TestExactMode:
             b.process_update(delete(el.edge.u, el.edge.v, el.edge.wt))
         assert a.cells == b.cells
         assert a._counts == b._counts
-        assert a.pairs == b.pairs
 
     def test_instrumentation(self):
         m = DynamicMatcher(30, 2, random.Random(5))
@@ -174,6 +188,70 @@ class TestValidation:
         m.process_update(delete(0, 1, 5))  # accepted: counts go negative
         m.process_update(insert(0, 1, 5))  # cancels out
         assert not m.cells and not m._counts
+
+
+class TestMatcherDoor:
+    def test_out_of_range_endpoint_rejected(self):
+        # edge ids would alias: (3, 12) under n=10 numbers as (4, 7)
+        m = DynamicMatcher(10, 1, random.Random(6))
+        with pytest.raises(MalformedStream):
+            m.process_update(insert(3, 12, 5))
+        assert not m.cells and m.query() is NO_K_MATCHING
+
+    def test_non_canonical_endpoints_rejected(self):
+        m = DynamicMatcher(10, 1, random.Random(6))
+        for u, v in ((5, 3), (4, 4), (-1, 2)):
+            for op in (INSERT, DELETE):
+                with pytest.raises(MalformedStream):
+                    m.process_update(StreamElement(Edge(u, v, 1), op))
+        assert not m.cells and m.updates == 0
+
+    def test_non_integer_weight_rejected(self):
+        # a non-integer weight never decoded (the cell's weight sum must
+        # divide by its count), so it was a silent NoKMatching
+        for eps in (None, 0.25):
+            m = DynamicMatcher(10, 1, random.Random(6), epsilon=eps)
+            for w in (0.1, 2.5, 3.0, Fraction(7, 2)):
+                with pytest.raises(InvalidParameter, match="epsilon"):
+                    m.process_update(insert(0, 1, w))
+            assert not m.cells and m.updates == 0
+
+    def test_many_transient_weights_leave_no_alias(self):
+        # thousands of distinct exact weights, none of them live
+        m = DynamicMatcher(10, 1, random.Random(6))
+        for w in range(1, 4097):
+            m.process_update(insert(0, 1, w))
+            m.process_update(delete(0, 1, w))
+        assert not m.cells and not m._counts
+        m.process_update(insert(0, 1, 5000))
+        m.process_update(insert(2, 3, 5000))
+        assert m.query().edges == (Edge(0, 1, 5000),)
+        m.process_update(delete(0, 1, 5000))
+        assert m.query().edges == (Edge(2, 3, 5000),)
+
+    def test_state_does_not_grow_with_edges_churned(self):
+        # bytes held by the package after inserting and deleting every
+        # edge of n=64 once, against churning none; both first touch
+        # every vertex so the O(n) vertex cache is the same
+        def held(churn):
+            tracemalloc.start()
+            m = DynamicMatcher(64, 1, random.Random(1))
+            for v in range(0, 64, 2):
+                m.process_update(insert(v, v + 1, 1))
+                m.process_update(delete(v, v + 1, 1))
+            for u, v in churn:
+                m.process_update(insert(u, v, 1))
+                m.process_update(delete(u, v, 1))
+            gc.collect()
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, "*streamkmatch*")]
+            )
+            tracemalloc.stop()
+            assert not m.cells
+            return sum(stat.size for stat in snap.statistics("filename"))
+
+        every_edge = [(u, v) for u in range(64) for v in range(u + 1, 64)]
+        assert held(every_edge) - held([]) < 8 * 1024
 
 
 class TestApproximation:
@@ -218,29 +296,6 @@ class TestApproximation:
         assert m.distinct_weight_keys <= 43  # log_{1.25}(10^4) + 1
 
 
-def _canonical_cells(m):
-    from streamkmatch.dynamic_matcher import _RL_BITS, _WID_CAP
-
-    rev = {wid: w for w, wid in m._wids.items()}
-    out = {}
-    for key, cell in m.cells.items():
-        rl = key & ((1 << _RL_BITS) - 1)
-        pb, wid = divmod(key >> _RL_BITS, _WID_CAP)
-        out[(pb, rev[wid], rl)] = tuple(cell)
-    return out
-
-
-def _canonical_counts(m):
-    from streamkmatch.dynamic_matcher import _WID_CAP
-
-    rev = {wid: w for w, wid in m._wids.items()}
-    out = {}
-    for k2, cnt in m._counts.items():
-        pb, wid = divmod(k2, _WID_CAP)
-        out[(pb, rev[wid])] = cnt
-    return out
-
-
 class TestMerge:
     def _shard_pair(self, seed):
         whole = DynamicMatcher(20, 2, random.Random(seed))
@@ -259,14 +314,10 @@ class TestMerge:
         for el in stream.elements[half:]:
             right.process_update(el)  # deletes may precede their inserts
         left.merge_from(right)
-        # weight ids are assigned in first-seen order, which differs
-        # between the merged and sequential grids; compare under the
-        # id-free canonical keying
-        assert _canonical_cells(left) == _canonical_cells(whole)
-        assert _canonical_counts(left) == _canonical_counts(whole)
-        assert {pb: sorted(ws) for pb, ws in left.pairs.items()} == {
-            pb: sorted(ws) for pb, ws in whole.pairs.items()
-        }
+        # cell keys carry the weight itself, so the merged grid equals
+        # the sequential one key for key
+        assert left.cells == whole.cells
+        assert left._counts == whole._counts
         a, b = left.query(), whole.query()
         if a is NO_K_MATCHING or b is NO_K_MATCHING:
             assert a is b

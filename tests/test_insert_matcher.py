@@ -8,6 +8,7 @@ from streamkmatch import (
     Edge,
     InsertMatcher,
     InvalidParameter,
+    MalformedStream,
     NO_K_MATCHING,
     gen_random_stream,
     materialize,
@@ -70,6 +71,17 @@ class TestFirstSegment:
         m = InsertMatcher(20, 3, 0.25, random.Random(5))
         m.process_insert(Edge(0, 1, 5))
         assert m.query() is NO_K_MATCHING
+
+
+class TestMatcherDoor:
+    def test_out_of_range_and_non_canonical_endpoints_rejected(self):
+        m = InsertMatcher(10, 1, 0.25, random.Random(6))
+        for u, v in ((3, 12), (3, 10), (5, 3), (4, 4), (-1, 2)):
+            with pytest.raises(MalformedStream):
+                m.process_insert(Edge(u, v, 5))
+        assert m.arrivals == 0 and m.query() is NO_K_MATCHING
+        m.process_insert(Edge(3, 9, 5))
+        assert m.query().edges == (Edge(3, 9, 5),)
 
 
 class TestEndToEnd:

@@ -10,8 +10,6 @@ from streamkmatch import (
     InvalidParameter,
     L0Sampler,
     Sample,
-    sampler_query,
-    sampler_update,
 )
 
 
@@ -83,11 +81,6 @@ class TestDecoding:
             got = s.query()
             if got is not FAIL:
                 assert got.index in live and got.count == 1
-
-    def test_module_level_wrappers(self):
-        s = L0Sampler(16, 0.1, random.Random(8))
-        sampler_update(s, 5, 1)
-        assert sampler_query(s) == Sample(5, 1)
 
 
 class TestStatistics:
