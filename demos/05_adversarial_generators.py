@@ -1,4 +1,4 @@
-"""Adversarial stream families and the benchmark harness.
+"""Adversarial stream families, and one seeded streaming run.
 
 Two constructions that make streaming matching provably hard:
 
@@ -9,20 +9,24 @@ Two constructions that make streaming matching provably hard:
     max-weight 1-matching over a path with deletions, which is why
     dynamic algorithms pay a log factor in weights.
 
-The bench driver runs seeded trials with latency percentiles.
+The last section streams a random graph through InsertMatcher and prints
+its stats() beside the exact answer.  Latency and throughput are measured
+by perfbench/run.py.
 """
 
 import math
+import random
 
 from streamkmatch import (
+    InsertMatcher,
     bipartite_matching_size,
     gen_index_hard,
     gen_partial_max_hard,
+    gen_random_stream,
     materialize,
     max_weight_k_matching,
     stream_to_text,
 )
-from streamkmatch.bench import bench_insert
 
 # --- index-hard --------------------------------------------------------
 m, x, z = 4, "1010", 3
@@ -45,14 +49,15 @@ best = max_weight_k_matching(materialize(stream.elements), 1)
 print(f"  max-weight 1-matching = {best.weight} "
       f"(the largest surviving value)")
 
-# --- bench -------------------------------------------------------------
+# --- one seeded insert-only run ----------------------------------------
 print()
-report = bench_insert(n=60, k=2, epsilon=0.25, edges=200, trials=5, seed=1)
-print("bench (insert-only, 5 trials of 200 inserts):")
-for key in (
-    "micro_step_max", "micro_step_budget", "within_budget",
-    "peak_stored_edges", "space_bound", "within_space_bound",
-    "update_wall_us_p50", "update_wall_us_p99",
-    "oracle_matches", "oracle_trials",
-):
-    print(f"  {key} = {report[key]}")
+stream = gen_random_stream(60, 2, 200, seed=1)
+matcher = InsertMatcher(60, 2, 0.25, random.Random(1))
+for el in stream.elements:
+    matcher.process_insert(el.edge)
+answer = matcher.query()
+truth = max_weight_k_matching(materialize(stream.elements), 2)
+print("insert-only run (200 inserts, k=2, eps=0.25):")
+print(f"  streamed weight {answer.weight}, oracle weight {truth.weight}")
+for key, value in matcher.stats().items():
+    print(f"  {key} = {value}")

@@ -5,12 +5,11 @@ Subcommands:
   run-ins  feed an insert-only stream to the streaming matcher
   run-dyn  feed a dynamic stream to the sampler-grid matcher
   oracle   materialize a stream and solve exactly (the reference answer)
-  bench    seeded trials with latency and instrumentation reports
   accept   run the acceptance suite, one pass/fail line per criterion
 
-"No k-matching" is a reported answer, not an error; the exit status is
-nonzero only for usage or operational failures (and for `accept` when a
-criterion fails).
+"No k-matching" is a reported answer, not an error.  Exit status 2 means
+a usage error or a malformed stream; 1 means a failed acceptance
+criterion.  Latency and throughput are measured by perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import json
 import random
 import sys
 
-from . import acceptance, bench
+from . import acceptance
 from .core import (
     MODE_DYNAMIC,
     MODE_INSERT_ONLY,
@@ -29,7 +28,6 @@ from .core import (
     materialize,
     read_stream,
     stream_to_text,
-    validate_stream,
 )
 from .dynamic_matcher import DynamicMatcher
 from .generators import gen_index_hard, gen_partial_max_hard, gen_random_stream
@@ -98,19 +96,11 @@ def _cmd_run_ins(args, out):
     stream = _load(args.stream)
     if stream.mode != MODE_INSERT_ONLY:
         raise InvalidParameter("run-ins expects an insert-only stream")
-    k = args.k or stream.k
+    k = stream.k if args.k is None else args.k
     matcher = InsertMatcher(stream.n, k, args.epsilon, random.Random(args.seed))
     for el in stream.elements:
         matcher.process_insert(el.edge)
-    answer = matcher.query()
-    stats = {
-        "arrivals": matcher.arrivals,
-        "micro_step_max": matcher.max_steps_per_insert,
-        "micro_step_budget": matcher.budget,
-        "peak_stored_edges": matcher.peak_stored_edges,
-        "space_bound": matcher.space_bound,
-    }
-    _emit_matching(answer, stats, args.format, out)
+    _emit_matching(matcher.query(), matcher.stats(), args.format, out)
     return 0
 
 
@@ -118,7 +108,7 @@ def _cmd_run_dyn(args, out):
     stream = _load(args.stream)
     if stream.mode != MODE_DYNAMIC:
         raise InvalidParameter("run-dyn expects a dynamic stream")
-    k = args.k or stream.k
+    k = stream.k if args.k is None else args.k
     matcher = DynamicMatcher(
         stream.n,
         k,
@@ -135,39 +125,11 @@ def _cmd_run_dyn(args, out):
 
 def _cmd_oracle(args, out):
     stream = _load(args.stream)
-    report = validate_stream(stream.elements, stream.n)
-    if not report.ok:
-        raise MalformedStream(report.index, report.reason)
-    k = args.k or stream.k
-    answer = max_weight_k_matching(materialize(stream.elements), k)
-    _emit_matching(answer, {"edges_live": len(materialize(stream.elements))},
+    live = materialize(stream.elements, stream.n)
+    k = stream.k if args.k is None else args.k
+    _emit_matching(max_weight_k_matching(live, k), {"edges_live": len(live)},
                    args.format, out)
     return 0
-
-
-def _cmd_bench(args, out):
-    if args.mode == MODE_INSERT_ONLY:
-        report = bench.bench_insert(
-            args.n, args.k, args.epsilon, args.edges, args.trials, args.seed
-        )
-    else:
-        report = bench.bench_dynamic(
-            args.n,
-            args.k,
-            args.edges,
-            args.deletes,
-            args.trials,
-            args.seed,
-            epsilon=args.bench_epsilon,
-        )
-    if args.format == "json":
-        out.write(json.dumps(report, indent=2) + "\n")
-    else:
-        for key, value in report.items():
-            out.write(f"{key} {value}\n")
-    status_keys = ("within_budget", "within_space_bound")
-    bad = any(report.get(key) is False for key in status_keys)
-    return 1 if bad else 0
 
 
 def _cmd_accept(args, out):
@@ -228,21 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("bench", help="seeded benchmark trials")
-    p.add_argument("--mode", choices=(MODE_INSERT_ONLY, MODE_DYNAMIC),
-                   default=MODE_INSERT_ONLY)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--edges", type=int, default=500)
-    p.add_argument("--deletes", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1 / 16)
-    p.add_argument("--bench-epsilon", type=float, default=None,
-                   help="dynamic mode: weight-rounding epsilon")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--only", default=None, help="comma-separated criteria")

@@ -52,11 +52,12 @@ class Edge(NamedTuple):
 
 
 def edge(u: int, v: int, wt: Number) -> Edge:
-    """Build a canonical edge (u < v); rejects self-loops and negative weights."""
+    """Build a canonical edge (u < v); rejects self-loops and weights
+    outside [0, inf)."""
     if u == v:
         raise InvalidParameter(f"self-loop at vertex {u}")
-    if wt < 0:
-        raise InvalidParameter(f"negative weight {wt}")
+    if not 0 <= wt < math.inf:
+        raise InvalidParameter(f"bad weight {wt}")
     if u > v:
         u, v = v, u
     if u < 0:
@@ -156,8 +157,8 @@ def _replay(elements: Sequence[StreamElement], n=None):
         u, v = (e.u, e.v) if e.u < e.v else (e.v, e.u)
         if u < 0 or (n is not None and v >= n):
             raise MalformedStream(pos, f"vertex out of range in ({e.u}, {e.v})")
-        if e.wt < 0:
-            raise MalformedStream(pos, f"negative weight {e.wt}")
+        if not 0 <= e.wt < math.inf:
+            raise MalformedStream(pos, f"bad weight {e.wt}")
         if op == INSERT:
             if (u, v) in live:
                 raise MalformedStream(pos, f"duplicate live insert of ({u}, {v})")
@@ -181,7 +182,7 @@ def materialize(elements: Sequence[StreamElement], n=None) -> list:
 
     Raises MalformedStream (with the position of the first violation) on
     phantom deletes, duplicate live inserts, weight-mismatched deletes,
-    or self-loops.
+    self-loops, vertices outside [0, n), or weights outside [0, inf).
     """
     live = _replay(elements, n)
     return [Edge(u, v, w) for (u, v), w in sorted(live.items())]
@@ -249,7 +250,10 @@ def read_stream(source) -> Stream:
         header = source.readline().split()
         if len(header) != 3:
             raise MalformedStream(-1, "header must be 'n k mode'")
-        n, k, mode = int(header[0]), int(header[1]), header[2]
+        try:
+            n, k, mode = int(header[0]), int(header[1]), header[2]
+        except ValueError:
+            raise MalformedStream(-1, f"bad header {header!r}") from None
         if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
             raise MalformedStream(-1, f"unknown mode {mode!r}")
         elements = []
@@ -259,8 +263,11 @@ def read_stream(source) -> Stream:
                 continue
             if len(parts) != 4 or parts[0] not in (INSERT, DELETE):
                 raise MalformedStream(pos, f"bad element line {line!r}")
-            op, u, v, w = parts[0], int(parts[1]), int(parts[2]), parts[3]
-            wt = _parse_weight(w, mode)
+            try:
+                op, u, v = parts[0], int(parts[1]), int(parts[2])
+                wt = _parse_weight(parts[3], mode)
+            except ValueError:
+                raise MalformedStream(pos, f"bad number in {line!r}") from None
             if mode == MODE_INSERT_ONLY and op == DELETE:
                 raise MalformedStream(pos, "delete in insert-only stream")
             if u > v:

@@ -300,8 +300,6 @@ class DynamicMatcher(CellGrid):
         e, op = el
         d = 1 if op == INSERT else -1
         u, v, w = e
-        if not 0 <= u < v < self.n:
-            raise MalformedStream(self.updates, f"bad endpoints ({u}, {v})")
         if not isinstance(w, int):
             # a weight is part of the cell key (exact mode) and of the
             # cell sums that must cancel exactly (both modes)
@@ -310,9 +308,14 @@ class DynamicMatcher(CellGrid):
                 "weights to integers, and set epsilon to round a wide range "
                 "into few weight keys"
             )
+        if not (0 <= u < v < self.n and w >= 0):
+            raise MalformedStream(self.updates, f"bad edge ({u}, {v}, {w})")
         if self._live is not None:
             self._check(u, v, w, d)
-        key_w = w if self.epsilon is None else round_weight(w, self.epsilon)
+        key_w = w
+        if self.epsilon is not None:
+            # t(1) = 0, so key -1 is free for weight 0
+            key_w = round_weight(w, self.epsilon) if w else -1
         self._weight_keys.add(key_w)
         hu = self._vhash(u)
         hv = self._vhash(v)
@@ -328,8 +331,6 @@ class DynamicMatcher(CellGrid):
 
     def _check(self, u, v, w, d):
         key = (u, v)
-        if w < 0:
-            raise MalformedStream(self.updates, f"bad dynamic weight {w}")
         if d > 0:
             if key in self._live:
                 raise MalformedStream(self.updates, f"duplicate insert of {key}")
@@ -347,7 +348,7 @@ class DynamicMatcher(CellGrid):
             return max_weight_k_matching(sampled, self.k)
         base = 1.0 + self.epsilon
         rounded = [
-            Edge(e.u, e.v, base ** round_weight(e.wt, self.epsilon))
+            Edge(e.u, e.v, base ** round_weight(e.wt, self.epsilon) if e.wt else 0)
             for e in sampled
         ]
         answer = max_weight_k_matching(rounded, self.k)

@@ -22,6 +22,8 @@ from .core import Edge, InvalidParameter, MalformedStream
 from .reducer import C_RED, ReducerState, new_vertex_partition, reduce
 from .solver import NO_K_MATCHING, max_weight_k_matching
 
+_INF = math.inf
+
 
 def step_budget(k: int, epsilon: float) -> int:
     """Per-arrival micro-step budget: enough to drain all in-flight
@@ -68,8 +70,9 @@ class InsertMatcher:
         return total
 
     def process_insert(self, e: Edge) -> None:
-        if not 0 <= e.u < e.v < self.n:
-            raise MalformedStream(self.arrivals, f"bad endpoints ({e.u}, {e.v})")
+        # the weight test also refuses nan, which compares false
+        if not (0 <= e.u < e.v < self.n and 0 <= e.wt < _INF):
+            raise MalformedStream(self.arrivals, f"bad edge {e}")
         self.filling.append(e)
         self.arrivals += 1
         remaining = self.budget
@@ -103,6 +106,15 @@ class InsertMatcher:
             self.reducers[idx] = ReducerState(
                 self.sketches[idx] + segment, f, self.k, self.budget
             )
+
+    def stats(self) -> dict:
+        return {
+            "updates": self.arrivals,
+            "micro_step_max": self.max_steps_per_insert,
+            "micro_step_budget": self.budget,
+            "peak_stored_edges": self.peak_stored_edges,
+            "space_bound": self.space_bound,
+        }
 
     def boundary_sketches(self) -> list:
         """Finish pending reductions and return, per hash, the reduced

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import Edge, InfeasibleSize, Matching
+from .core import InfeasibleSize, InvalidParameter, Matching
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -57,7 +57,7 @@ def _better(weight, profile, best_weight, best_profile) -> bool:
 def max_weight_k_matching(edges, k: int):
     """Best matching of exactly k edges, or NO_K_MATCHING."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidParameter("k must be >= 0")
     if k == 0:
         return Matching(())
     order = sorted(edges, key=lambda e: e.beta, reverse=True)
@@ -108,7 +108,7 @@ def brute_force_oracle(edges, k: int):
             f"{len(edges)} edges exceeds the enumeration cap {BRUTE_FORCE_EDGE_LIMIT}"
         )
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidParameter("k must be >= 0")
     if k == 0:
         return Matching(())
     best_weight = None

@@ -1,12 +1,13 @@
-"""Command-line interface: generation, running, oracle, bench, accept."""
+"""Command-line interface: generation, running, oracle, accept."""
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
 
 import pytest
 
-from streamkmatch import read_stream
+from streamkmatch import InsertMatcher, core, read_stream
 from streamkmatch.cli import build_parser, main
 
 
@@ -99,6 +100,15 @@ class TestRun:
         oracle = json.loads(oout)
         assert payload["weight"] <= oracle["weight"]
 
+    def test_run_ins_json_stats_are_matcher_stats(self, ins_stream):
+        _, out = run_cli("run-ins", ins_stream, "--seed", "3", "--format", "json")
+        stream = read_stream(ins_stream)
+        m = InsertMatcher(stream.n, stream.k, 1 / 16, random.Random(3))
+        for el in stream.elements:
+            m.process_insert(el.edge)
+        assert json.loads(out)["stats"] == m.stats()
+        assert m.stats()["updates"] == 60
+
     def test_run_ins_rejects_dyn_stream(self, dyn_stream):
         code, _ = run_cli("run-ins", dyn_stream)
         assert code == 2
@@ -123,6 +133,16 @@ class TestRun:
         code, out = run_cli("run-dyn", str(path))
         assert code == 2 and out == ""
 
+    def test_run_dyn_approx_zero_weight(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("6 2 dyn\n+ 0 1 0\n+ 2 3 5\n")
+        code, out = run_cli("run-dyn", str(path), "--epsilon", "0.25",
+                            "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["matching"] == [[0, 1, 0], [2, 3, 5]]
+        assert payload["weight"] == 5
+
     def test_run_dyn_rejects_ins_stream(self, ins_stream):
         code, _ = run_cli("run-dyn", ins_stream)
         assert code == 2
@@ -136,29 +156,67 @@ class TestRun:
         code, _ = run_cli("run-ins", "/nonexistent/stream.txt")
         assert code == 2
 
+    def test_oracle_replays_the_stream_once(self, dyn_stream, monkeypatch):
+        calls = []
+        replay = core._replay
+        monkeypatch.setattr(core, "_replay",
+                            lambda *a: calls.append(1) or replay(*a))
+        code, _ = run_cli("oracle", dyn_stream)
+        assert code == 0 and len(calls) == 1
 
-class TestBench:
-    def test_insert_bench_small(self):
-        code, out = run_cli(
-            "bench", "--mode", "ins", "--n", "20", "--k", "2", "--edges", "40",
-            "--trials", "2", "--seed", "1", "--format", "json",
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["within_budget"] is True
-        assert report["within_space_bound"] is True
-        assert report["oracle_trials"] == 2
 
-    def test_dynamic_bench_small(self):
-        code, out = run_cli(
-            "bench", "--mode", "dyn", "--n", "20", "--k", "2", "--edges", "40",
-            "--deletes", "10", "--trials", "2", "--seed", "1",
-            "--format", "json",
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["updates_per_trial"] == 50
-        assert "update_wall_us_p99" in report
+class TestBadInput:
+    """Every malformed input is a typed error (exit 2), never an
+    answer or a traceback."""
+
+    @pytest.mark.parametrize("weight", ["-3", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["run-ins", "oracle"])
+    def test_bad_insert_weight(self, tmp_path, command, weight):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"6 1 ins\n+ 0 1 {weight}\n+ 2 3 5\n")
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+
+    def test_run_dyn_rejects_negative_weight(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("6 1 dyn\n+ 0 1 -4\n")
+        code, out = run_cli("run-dyn", str(path))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("text", [
+        "6 1 ins\n+ 0 1 x\n",
+        "6 1 ins\n+ 0 a 1\n",
+        "6 x ins\n+ 0 1 1\n",
+        "6 1 dyn\n+ 0 1 x\n",
+    ], ids=["weight", "vertex", "header", "dyn-weight"])
+    @pytest.mark.parametrize("command", ["run-ins", "run-dyn", "oracle"])
+    def test_bad_token_exit_2(self, tmp_path, command, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+
+
+class TestK:
+    @pytest.fixture()
+    def stream(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("6 1 dyn\n+ 0 1 5\n+ 2 3 4\n")
+        return str(path)
+
+    def test_oracle_k_zero_is_the_empty_matching(self, stream):
+        code, out = run_cli("oracle", stream, "--k", "0")
+        assert code == 0 and out.splitlines()[0] == "weight 0"
+
+    def test_matchers_refuse_k_zero(self, stream, tmp_path):
+        ins = tmp_path / "ins.txt"
+        ins.write_text("6 1 ins\n+ 0 1 5\n")
+        assert run_cli("run-ins", str(ins), "--k", "0")[0] == 2
+        assert run_cli("run-dyn", stream, "--k", "0")[0] == 2
+
+    def test_oracle_negative_k_exit_2(self, stream):
+        code, out = run_cli("oracle", stream, "--k", "-1")
+        assert code == 2 and out == ""
 
 
 class TestAccept:
@@ -181,3 +239,9 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
+
+    def test_bench_is_not_a_subcommand(self):
+        # latency is measured by perfbench/run.py
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2

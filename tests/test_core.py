@@ -1,6 +1,7 @@
 """Domain types: edges, the heaviness order, edge numbering, streams."""
 
 import io
+import math
 import random
 
 import pytest
@@ -42,6 +43,11 @@ class TestEdge:
     def test_rejects_negative_weight(self):
         with pytest.raises(InvalidParameter):
             edge(0, 1, -1)
+
+    def test_rejects_nan_and_inf_weight(self):
+        for wt in (math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                edge(0, 1, wt)
 
     def test_rejects_negative_vertex(self):
         with pytest.raises(InvalidParameter):
@@ -178,7 +184,7 @@ class TestStreamFormat:
     def test_float_weights_only_in_insert_mode(self):
         ins = read_stream(io.StringIO("4 1 ins\n+ 0 1 2.5\n"))
         assert ins.elements[0].edge.wt == 2.5
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedStream):
             read_stream(io.StringIO("4 1 dyn\n+ 0 1 2.5\n"))
 
     def test_bad_header(self):
@@ -186,14 +192,17 @@ class TestStreamFormat:
             read_stream(io.StringIO("4 1\n"))
         with pytest.raises(MalformedStream):
             read_stream(io.StringIO("4 1 nope\n+ 0 1 2\n"))
+        with pytest.raises(MalformedStream):
+            read_stream(io.StringIO("4 x ins\n+ 0 1 2\n"))
 
     def test_delete_rejected_in_insert_mode(self):
         with pytest.raises(MalformedStream):
             read_stream(io.StringIO("4 1 ins\n- 0 1 2\n"))
 
     def test_bad_element_line(self):
-        with pytest.raises(MalformedStream):
-            read_stream(io.StringIO("4 1 ins\n* 0 1 2\n"))
+        for line in ("* 0 1 2", "+ 0 1 x", "+ 0 a 2"):
+            with pytest.raises(MalformedStream):
+                read_stream(io.StringIO(f"4 1 ins\n{line}\n"))
 
     def test_blank_lines_skipped(self):
         stream = read_stream(io.StringIO("4 1 ins\n\n+ 0 1 2\n\n"))

@@ -206,6 +206,13 @@ class TestMatcherDoor:
                     m.process_update(StreamElement(Edge(u, v, 1), op))
         assert not m.cells and m.updates == 0
 
+    def test_negative_weight_rejected_without_validate(self):
+        m = DynamicMatcher(10, 1, random.Random(6))
+        for op in (INSERT, DELETE):
+            with pytest.raises(MalformedStream):
+                m.process_update(StreamElement(Edge(0, 1, -4), op))
+        assert not m.cells and m.updates == 0
+
     def test_non_integer_weight_rejected(self):
         # a non-integer weight never decoded (the cell's weight sum must
         # divide by its count), so it was a silent NoKMatching
@@ -255,6 +262,17 @@ class TestMatcherDoor:
 
 
 class TestApproximation:
+    def test_zero_weight(self):
+        # round_weight(0) has no t; weight 0 gets a key of its own
+        m = DynamicMatcher(10, 2, random.Random(8), epsilon=0.25)
+        m.process_update(insert(0, 1, 0))
+        m.process_update(insert(2, 3, 5))
+        answer = m.query()
+        assert answer.edges == (Edge(0, 1, 0), Edge(2, 3, 5))
+        assert answer.weight == 5
+        m.process_update(delete(0, 1, 0))
+        assert m.query() is NO_K_MATCHING
+
     def test_reports_true_weights(self):
         m = DynamicMatcher(10, 1, random.Random(8), epsilon=0.25)
         m.process_update(insert(0, 1, 7))

@@ -1,10 +1,12 @@
 """Insert-only streaming matcher: correctness, work and space budgets."""
 
+import math
 import random
 
 import pytest
 
 from streamkmatch import (
+    DynamicMatcher,
     Edge,
     InsertMatcher,
     InvalidParameter,
@@ -82,6 +84,39 @@ class TestMatcherDoor:
         assert m.arrivals == 0 and m.query() is NO_K_MATCHING
         m.process_insert(Edge(3, 9, 5))
         assert m.query().edges == (Edge(3, 9, 5),)
+
+    @pytest.mark.parametrize("wt", [-3, -0.5, math.nan, math.inf, -math.inf])
+    def test_bad_weight_rejected(self, wt):
+        m = InsertMatcher(10, 1, 0.25, random.Random(6))
+        with pytest.raises(MalformedStream):
+            m.process_insert(Edge(0, 1, wt))
+        assert m.arrivals == 0 and m.query() is NO_K_MATCHING
+
+    def test_zero_and_float_weights_accepted(self):
+        m = InsertMatcher(10, 1, 0.25, random.Random(6))
+        m.process_insert(Edge(0, 1, 0))
+        m.process_insert(Edge(2, 3, 2.5))
+        assert m.query().edges == (Edge(2, 3, 2.5),)
+
+
+class TestStats:
+    def test_keys_and_values(self):
+        m = InsertMatcher(30, 2, 0.25, random.Random(9))
+        for el in gen_random_stream(30, 2, 40, seed=4).elements:
+            m.process_insert(el.edge)
+        assert m.stats() == {
+            "updates": 40,
+            "micro_step_max": m.max_steps_per_insert,
+            "micro_step_budget": m.budget,
+            "peak_stored_edges": m.peak_stored_edges,
+            "space_bound": m.space_bound,
+        }
+        assert 0 < m.stats()["micro_step_max"] <= m.budget
+
+    def test_shares_the_updates_key_with_the_dynamic_matcher(self):
+        ins = InsertMatcher(10, 1, 0.25, random.Random(1)).stats()
+        dyn = DynamicMatcher(10, 1, random.Random(1)).stats()
+        assert ins["updates"] == dyn["updates"] == 0
 
 
 class TestEndToEnd:

@@ -9,6 +9,7 @@ from streamkmatch import (
     BRUTE_FORCE_EDGE_LIMIT,
     Edge,
     InfeasibleSize,
+    InvalidParameter,
     Matching,
     NO_K_MATCHING,
     brute_force_oracle,
@@ -36,9 +37,10 @@ class TestSentinel:
         assert brute_force_oracle([Edge(0, 1, 5)], 0) == Matching(())
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
+        # InvalidParameter, so the CLI reports exit 2, not a traceback
+        with pytest.raises(InvalidParameter):
             max_weight_k_matching([], -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             brute_force_oracle([], -1)
 
 
