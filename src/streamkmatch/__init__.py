@@ -37,8 +37,6 @@ from .dynamic_matcher import (
     DynamicMatcher,
     L0Sampler,
     Sample,
-    new_approx_matcher,
-    new_dynamic_matcher,
     round_weight,
 )
 from .generators import (
@@ -54,23 +52,20 @@ from .hashing import (
     UniversalHash,
     build_hash_scheme,
     distinguishes,
-    kwise_eval,
     random_kwise,
     random_universal,
     scheme_dimensions,
     scheme_eval,
     scheme_from_text,
     scheme_to_text,
-    universal_eval,
 )
-from .insert_matcher import InsertMatcher, new_insert_matcher, step_budget
+from .insert_matcher import InsertMatcher, step_budget
 from .reducer import (
     C_RED,
     ReducerState,
     compact_subgraph,
     new_vertex_partition,
     reduce,
-    reducer_start,
 )
 from .solver import (
     BRUTE_FORCE_EDGE_LIMIT,

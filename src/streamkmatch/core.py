@@ -257,10 +257,11 @@ def read_stream(source) -> Stream:
         if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
             raise MalformedStream(-1, f"unknown mode {mode!r}")
         elements = []
-        for pos, line in enumerate(source):
+        for line in source:
             parts = line.split()
             if not parts:
                 continue
+            pos = len(elements)
             if len(parts) != 4 or parts[0] not in (INSERT, DELETE):
                 raise MalformedStream(pos, f"bad element line {line!r}")
             try:

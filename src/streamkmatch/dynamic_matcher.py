@@ -13,10 +13,17 @@ One cell engine, CellGrid, holds every sampler (Cormode & Firmani
 2014).  A sampler is R repetitions, each subsampling the universe at
 geometric rates (level l keeps index x iff the repetition's hash of x
 is divisible by 2^l) with a one-sparse recovery cell per level.  A
-cell holds the sums (count, sum of i, sum of payload, sum of z^i); it
-decodes when its level holds a single live index, and the fingerprint
-makes a false decode vanishingly unlikely.  Only the cell of an
-index's exact level is stored; query time takes suffix sums.
+cell decodes when its level holds a single live index, and the
+fingerprint makes a false decode vanishingly unlikely.  Only the cell
+of an index's exact level is stored; query time takes suffix sums.
+
+A cell is one int of signed fields, low field first: the count (64
+bits), the sum of i (64 + universe.bit_length() bits), the unreduced
+fingerprint sum of z^i (125 bits) and the payload sum on top,
+unbounded.  Each field holds its sum while the cell has taken fewer
+than 2^63 updates, so cells add as ints: deletions are exact inverses,
+grids with the same randomness merge cell-wise, and a cell is zero
+exactly when all its sums are.
 
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
@@ -25,8 +32,7 @@ and buys an order of magnitude on updates.  A matcher sampler's base
 is weight key * d4^2 + pair, so weights need no registry; L0Sampler is
 the grid's single sampler at base 0.  The matcher's payload is the
 true weight, so approximation mode reports exact weights although its
-keys only know the rounded bucket.  Every field is a sum: deletions
-are exact inverses, and grids with the same randomness merge cell-wise.
+keys only know the rounded bucket.
 """
 
 from __future__ import annotations
@@ -93,6 +99,10 @@ class Sample(NamedTuple):
     count: int  # multiplicity of the decoded index
 
 
+_C0_BITS = 64   # count field width
+_FP_BITS = 125  # fingerprint field: under 2^63 terms, each below 2^61
+
+
 def _bump(counts: dict, key, d) -> None:
     """Add d to counts[key], dropping the key when it reaches zero."""
     c = counts.get(key, 0) + d
@@ -100,6 +110,13 @@ def _bump(counts: dict, key, d) -> None:
         counts[key] = c
     else:
         del counts[key]
+
+
+def _split(x: int, bits: int):
+    """The low bits of x read as a signed field, and x above that field."""
+    half = 1 << (bits - 1)
+    low = ((x + half) & ((half << 1) - 1)) - half
+    return low, (x - low) >> bits
 
 
 class CellGrid:
@@ -126,11 +143,13 @@ class CellGrid:
             random_kwise(kappa, span, rng) for _ in range(self.reps)
         ]
         self.z = rng.randrange(1, FIELD_PRIME)
-        self.cells = {}   # (base, rep, exact level) packed -> [c0, c1, payload, fp]
+        self.cells = {}   # (base, rep, exact level) packed -> packed sums
         self._counts = {}  # base -> net count, zeros dropped
         # a cell key is (base << _shift) | (rep << _lev_bits) | level
         self._lev_bits = (self.levels - 1).bit_length()
         self._shift = self._lev_bits + (self.reps - 1).bit_length()
+        # the fingerprint's offset; the index sum fills the bits below it
+        self._fp_at = 2 * _C0_BITS + universe.bit_length()
 
     def _add(self, bases, index: int, d: int, payload) -> None:
         """Add d copies of index, each carrying payload, to every sampler
@@ -142,28 +161,14 @@ class CellGrid:
             val = g(index)
             lev = (val & -val).bit_length() - 1 if val else top
             rls.append((rep << lev_bits) | lev)
-        di = d * index
-        dp = d * payload
-        dz = d * pow(self.z, index, FIELD_PRIME)
+        upper = (payload << _FP_BITS) + pow(self.z, index, FIELD_PRIME)
+        cell = d * (1 + (index << _C0_BITS) + (upper << self._fp_at))
         cells = self.cells
-        cget = cells.get
-        counts = self._counts
-        shift = self._shift
         for base in bases:
-            _bump(counts, base, d)
-            kb = base << shift
+            _bump(self._counts, base, d)
+            kb = base << self._shift
             for rl in rls:
-                key = kb | rl
-                cell = cget(key)
-                if cell is None:
-                    cells[key] = [d, di, dp, dz]
-                else:
-                    cell[0] += d
-                    cell[1] += di
-                    cell[2] += dp
-                    cell[3] += dz
-                    if not (cell[0] or cell[1] or cell[2] or cell[3]):
-                        del cells[key]
+                _bump(cells, kb | rl, cell)
 
     def _decode(self, bases):
         """Query each sampler in bases once.  Returns the decoded
@@ -174,6 +179,12 @@ class CellGrid:
         cget = self.cells.get
         shift = self._shift
         lev_bits = self._lev_bits
+        c0_mask = (1 << _C0_BITS) - 1
+        c0_cap = 1 << (_C0_BITS - 1)
+        fp_at = self._fp_at
+        c1_mask = (1 << (fp_at - _C0_BITS)) - 1
+        fp_half = 1 << (_FP_BITS - 1)
+        fp_mask = (1 << _FP_BITS) - 1
         reps = range(self.reps)
         levels = range(self.levels - 1, -1, -1)
         zpow = {}  # z^j of the candidates this query has seen
@@ -184,23 +195,30 @@ class CellGrid:
             got = None
             for rep in reps:
                 rb = kb | (rep << lev_bits)
-                c0 = c1 = c2 = fp = 0
+                s = 0
                 for lev in levels:
                     c = cget(rb | lev)
-                    if c is not None:
-                        c0 += c[0]
-                        c1 += c[1]
-                        c2 += c[2]
-                        fp += c[3]
-                    if c0 <= 0 or c1 % c0:
+                    if c is None:
+                        continue  # same suffix as the level above
+                    s += c
+                    # unsigned reads: a decodable suffix has 0 < c0 < 2^63, c1 >= 0
+                    c0 = s & c0_mask
+                    if not 0 < c0 < c0_cap:
+                        continue
+                    c1 = (s >> _C0_BITS) & c1_mask
+                    if c1 % c0:
                         continue
                     j = c1 // c0
-                    if not 0 <= j < universe:
+                    if j >= universe:
                         continue
                     zj = zpow.get(j)
                     if zj is None:
                         zj = zpow[j] = pow(z, j, q)
+                    # _split inlined: a call per candidate cost 9% of a decode
+                    rest = s >> fp_at
+                    fp = ((rest + fp_half) & fp_mask) - fp_half
                     if (fp - c0 * zj) % q == 0:
+                        c2 = (rest - fp) >> _FP_BITS
                         if c2 % c0 == 0:
                             got = (j, c0, c2 // c0)
                         break
@@ -214,18 +232,9 @@ class CellGrid:
 
     def _merge_cells(self, other: "CellGrid") -> None:
         """Cell-wise add of a grid built with the same randomness."""
-        cells = self.cells
-        for key, c in other.cells.items():
-            mine = cells.get(key)
-            if mine is None:
-                cells[key] = list(c)
-            else:
-                for idx in range(4):
-                    mine[idx] += c[idx]
-                if not (mine[0] or mine[1] or mine[2] or mine[3]):
-                    del cells[key]
-        for base, cnt in other._counts.items():
-            _bump(self._counts, base, cnt)
+        for mine, theirs in ((self.cells, other.cells), (self._counts, other._counts)):
+            for key, c in theirs.items():
+                _bump(mine, key, c)
 
 
 class L0Sampler(CellGrid):
@@ -234,6 +243,8 @@ class L0Sampler(CellGrid):
     def update(self, index: int, delta: int) -> None:
         if not (0 <= index < self.universe):
             raise InvalidParameter(f"index {index} outside universe")
+        if not isinstance(delta, int) or abs(delta) >= 1 << (_C0_BITS - 1):
+            raise InvalidParameter(f"multiplicity {delta!r} must be an int of size < 2^63")
         if delta:
             self._add((0,), index, delta, 0)
 
@@ -255,10 +266,13 @@ class L0Sampler(CellGrid):
     def cells_snapshot(self) -> str:
         """Cells as sorted decimal integer lines: rep, level, c0, c1, fp."""
         rep_of, lev_mask = self._lev_bits, (1 << self._lev_bits) - 1
-        return "\n".join(
-            f"{key >> rep_of} {key & lev_mask} {c[0]} {c[1]} {c[3] % FIELD_PRIME}"
-            for key, c in sorted(self.cells.items())
-        )
+        lines = []
+        for key, cell in sorted(self.cells.items()):
+            c0, rest = _split(cell, _C0_BITS)
+            c1, rest = _split(rest, self._fp_at - _C0_BITS)
+            fp = _split(rest, _FP_BITS)[0] % FIELD_PRIME
+            lines.append(f"{key >> rep_of} {key & lev_mask} {c0} {c1} {fp}")
+        return "\n".join(lines)
 
 
 class DynamicMatcher(CellGrid):
@@ -280,7 +294,6 @@ class DynamicMatcher(CellGrid):
         super().__init__(n * (n - 1) // 2, delta, rng)
         self._weight_keys = set()  # every weight key seen
         self._weight_counts = {}   # true weight -> live edge count
-        self._vcache = {}          # vertex -> tuple of scheme values
         self._live = {} if validate else None
         # instrumentation
         self.updates = 0
@@ -289,12 +302,6 @@ class DynamicMatcher(CellGrid):
         self.last_fail_count = 0
 
     # -- update path ---------------------------------------------------
-
-    def _vhash(self, x: int):
-        got = self._vcache.get(x)
-        if got is None:
-            got = self._vcache[x] = tuple(scheme_eval(self.scheme, x))
-        return got
 
     def process_update(self, el: StreamElement) -> None:
         e, op = el
@@ -317,8 +324,8 @@ class DynamicMatcher(CellGrid):
             # t(1) = 0, so key -1 is free for weight 0
             key_w = round_weight(w, self.epsilon) if w else -1
         self._weight_keys.add(key_w)
-        hu = self._vhash(u)
-        hv = self._vhash(v)
+        hu = scheme_eval(self.scheme, u)
+        hv = scheme_eval(self.scheme, v)
         d4 = self.scheme.d4
         wb = key_w * d4 * d4
         eid = u * self.n - u * (u + 1) // 2 + (v - u - 1)
@@ -407,13 +414,3 @@ class DynamicMatcher(CellGrid):
             _bump(self._weight_counts, w, cnt)
         self._weight_keys |= other._weight_keys
         self.updates += other.updates
-
-
-def new_dynamic_matcher(n: int, k: int, rng, delta=None, validate=False) -> DynamicMatcher:
-    return DynamicMatcher(n, k, rng, delta=delta, validate=validate)
-
-
-def new_approx_matcher(n: int, k: int, epsilon: float, rng, delta=None) -> DynamicMatcher:
-    if epsilon is None:
-        raise InvalidParameter("epsilon required for the approximate matcher")
-    return DynamicMatcher(n, k, rng, epsilon=epsilon, delta=delta)

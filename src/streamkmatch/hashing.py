@@ -46,10 +46,6 @@ def random_universal(r: int, rng) -> UniversalHash:
     return UniversalHash(a, b, r)
 
 
-def universal_eval(h: UniversalHash, x: int) -> int:
-    return h(x)
-
-
 class KWiseHash(NamedTuple):
     coeffs: tuple  # polynomial coefficients, constant term first
     r: int
@@ -69,10 +65,6 @@ def random_kwise(kappa: int, r: int, rng) -> KWiseHash:
         raise InvalidParameter(f"range {r} < 1")
     coeffs = tuple(rng.randrange(0, FIELD_PRIME) for _ in range(kappa))
     return KWiseHash(coeffs, r)
-
-
-def kwise_eval(h: KWiseHash, x: int) -> int:
-    return h(x)
 
 
 class HashScheme(NamedTuple):

@@ -146,6 +146,3 @@ class InsertMatcher:
                 best = answer
         return best
 
-
-def new_insert_matcher(n: int, k: int, epsilon: float, rng) -> InsertMatcher:
-    return InsertMatcher(n, k, epsilon, rng)

@@ -162,10 +162,6 @@ class ReducerState:
             self.output = out[0]
 
 
-def reducer_start(edges, f: UniversalHash, k: int, budget_per_step: int) -> ReducerState:
-    return ReducerState(edges, f, k, budget_per_step)
-
-
 def reduce(edges, f: UniversalHash, k: int) -> list:
     """Definitional reduced subgraph (the drained micro-step machine)."""
     return ReducerState(edges, f, k, 1).run_to_completion()

@@ -200,9 +200,12 @@ class TestStreamFormat:
             read_stream(io.StringIO("4 1 ins\n- 0 1 2\n"))
 
     def test_bad_element_line(self):
-        for line in ("* 0 1 2", "+ 0 1 x", "+ 0 a 2"):
-            with pytest.raises(MalformedStream):
-                read_stream(io.StringIO(f"4 1 ins\n{line}\n"))
+        # errors are numbered by element, as the matchers number them,
+        # so blank lines do not count
+        for text in ("* 0 1 2", "+ 0 1 x", "+ 0 a 2", "\n\n+ 0 1 x"):
+            with pytest.raises(MalformedStream) as err:
+                read_stream(io.StringIO(f"6 1 ins\n{text}\n"))
+            assert err.value.index == 0
 
     def test_blank_lines_skipped(self):
         stream = read_stream(io.StringIO("4 1 ins\n\n+ 0 1 2\n\n"))

@@ -23,8 +23,6 @@ from streamkmatch import (
     materialize,
     matching_of,
     max_weight_k_matching,
-    new_approx_matcher,
-    new_dynamic_matcher,
     round_weight,
 )
 from streamkmatch.dynamic_matcher import default_delta
@@ -61,12 +59,6 @@ class TestParameters:
         m.process_update(insert(2, 3, 6))
         assert len(m.cells) == len(m._counts) * m.reps
         assert {key >> m._shift for key in m.cells} == set(m._counts)
-
-    def test_factories(self):
-        assert new_dynamic_matcher(30, 2, random.Random(1)).epsilon is None
-        assert new_approx_matcher(30, 2, 0.25, random.Random(1)).epsilon == 0.25
-        with pytest.raises(InvalidParameter):
-            new_approx_matcher(30, 2, None, random.Random(1))
 
 
 class TestRoundWeight:
@@ -239,7 +231,7 @@ class TestMatcherDoor:
     def test_state_does_not_grow_with_edges_churned(self):
         # bytes held by the package after inserting and deleting every
         # edge of n=64 once, against churning none; both first touch
-        # every vertex so the O(n) vertex cache is the same
+        # every vertex, so only the churn differs
         def held(churn):
             tracemalloc.start()
             m = DynamicMatcher(64, 1, random.Random(1))
@@ -259,6 +251,47 @@ class TestMatcherDoor:
 
         every_edge = [(u, v) for u in range(64) for v in range(u + 1, 64)]
         assert held(every_edge) - held([]) < 8 * 1024
+
+
+class TestCellFormat:
+    def test_weights_above_2_to_70(self):
+        # exact mode keeps each weight whole in its cells' payload sums
+        w1, w2, w3 = (1 << 70) + 3, (1 << 72) + 5, (1 << 71) + 1
+        stream = [
+            insert(0, 1, w1), insert(2, 3, w2), insert(4, 5, w3), insert(1, 6, w1)
+        ]
+        whole, left, right = (
+            DynamicMatcher(12, 2, random.Random(50)) for _ in range(3)
+        )
+        for el in stream:
+            whole.process_update(el)
+        for el in stream[:2]:
+            left.process_update(el)
+        for el in stream[2:]:
+            right.process_update(el)
+        assert whole.query().weight == w2 + w3
+        left.merge_from(right)
+        assert left.cells == whole.cells
+        assert left._counts == whole._counts
+        for el in stream:
+            e = el.edge
+            whole.process_update(delete(e.u, e.v, e.wt))
+        assert not whole.cells and not whole._counts
+
+    def test_cells_are_not_gc_tracked(self):
+        # 20 live edges at k=2 hold about 26 000 cells; as containers the
+        # cyclic collector tracks, they made full collections dominate
+        m = DynamicMatcher(200, 2, random.Random(51))
+        pairs = random.Random(52).sample(
+            [(u, v) for u in range(200) for v in range(u + 1, 200)], 20
+        )
+        gc.collect()
+        before = len(gc.get_objects())
+        for w, (u, v) in enumerate(pairs):
+            m.process_update(insert(u, v, w % 4))
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert grown < 1000
 
 
 class TestApproximation:

@@ -15,7 +15,6 @@ from streamkmatch import (
     gen_random_stream,
     materialize,
     max_weight_k_matching,
-    new_insert_matcher,
 )
 from streamkmatch.insert_matcher import step_budget
 from streamkmatch.reducer import C_RED
@@ -49,9 +48,6 @@ class TestParameters:
             InsertMatcher(20, 2, 0.0, random.Random(1))
         with pytest.raises(InvalidParameter):
             InsertMatcher(20, 2, 1.0, random.Random(1))
-
-    def test_factory(self):
-        assert isinstance(new_insert_matcher(10, 1, 0.5, random.Random(1)), InsertMatcher)
 
 
 class TestFirstSegment:

@@ -39,6 +39,10 @@ class TestConstruction:
             s.update(8, 1)
         with pytest.raises(InvalidParameter):
             s.update(-1, 1)
+        # a cell's count field holds an int below 2^63 in magnitude
+        for d in (1 << 63, -(1 << 63), 2.5):
+            with pytest.raises(InvalidParameter):
+                s.update(3, d)
 
 
 class TestDecoding:
@@ -152,3 +156,40 @@ class TestMergeAndSnapshot:
             parts = line.split()
             assert len(parts) == 5
             [int(p) for p in parts]  # all decimal integers
+
+    def test_snapshot_pinned(self):
+        # mixed-sign updates, a net-negative index, index universe - 1 and
+        # a universe above 2^32: the text must not depend on how a cell
+        # stores its sums
+        cases = [
+            (1000, 0.25, 41,
+             [(5, 3), (999, -2), (17, 1), (5, -1), (400, -1), (400, 1), (0, 1)],
+             FAIL,
+             "0 0 -1 -1998 532432743880873879\n"
+             "0 1 3 27 1974309007262640561\n"
+             "1 0 2 -1971 200898741929820489"),
+            (2**33 + 7, 0.25, 42,
+             [(2**33 + 6, 1), (3, -4), (2**32 + 1, 2), (3, 1), (2**33 + 6, 1),
+              (7, 1), (5_000_000_000, -1), (123_456_789, 1), (8_000_000_000, 2)],
+             Sample(7, 1),
+             "0 0 3 41769803781 1206155788213748139\n"
+             "0 1 2 123456796 435152283391204636\n"
+             "0 2 -1 -5000000000 1883882901009277021\n"
+             "1 0 1 25769803781 558583254101962532\n"
+             "1 1 2 11123456789 1649773011946786004\n"
+             "1 2 1 7 1316834706565481260"),
+            (64, 0.1, 43, [(63, -1), (1, 5), (2, -3), (2, 3)],
+             Sample(1, 5),
+             "0 0 4 -58 548702900962770638\n"
+             "1 0 -1 -63 2025180292734592560\n"
+             "1 1 5 5 829365617441872029\n"
+             "2 1 4 -58 548702900962770638\n"
+             "3 0 -1 -63 2025180292734592560\n"
+             "3 4 5 5 829365617441872029"),
+        ]
+        for universe, delta, seed, updates, sample, snapshot in cases:
+            s = L0Sampler(universe, delta, random.Random(seed))
+            for i, d in updates:
+                s.update(i, d)
+            assert s.cells_snapshot() == snapshot
+            assert s.query() == sample

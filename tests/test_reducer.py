@@ -12,7 +12,6 @@ from streamkmatch import (
     compact_subgraph,
     new_vertex_partition,
     reduce,
-    reducer_start,
 )
 
 
@@ -157,7 +156,7 @@ class TestReducerState:
         k = 3
         f = new_vertex_partition(k, rng)
         edges = _random_edges(rng, 40, 200)
-        state = reducer_start(edges, f, k, 1 << 30)
+        state = ReducerState(edges, f, k, 1 << 30)
         state.step()
         assert state.done
         assert set(state.output) == set(reduce(edges, f, k))
