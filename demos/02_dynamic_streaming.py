@@ -32,7 +32,7 @@ truth = max_weight_k_matching(materialize(stream.elements), K)
 stats = matcher.stats()
 
 print(f"grid: {stats['live_samplers']} live samplers, {stats['cells']} cells, "
-      f"{stats['keys_touched_max']} keys touched per update")
+      f"{stats['keys_touched_last']} keys touched per update")
 if answer is NO_K_MATCHING:
     print("dynamic answer: no k-matching")
 else:

@@ -19,7 +19,6 @@ from .core import (
     MODE_INSERT_ONLY,
     Stream,
     StreamElement,
-    beta_compare,
     delete,
     edge,
     edge_at_index,

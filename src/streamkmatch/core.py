@@ -40,6 +40,21 @@ class InfeasibleSize(ValueError):
     """Input too large for an exhaustive-enumeration routine."""
 
 
+class Sentinel:
+    """A falsy named answer, compared by identity (`is`)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+    def __bool__(self):
+        return False
+
+
 class Edge(NamedTuple):
     u: int
     v: int
@@ -63,16 +78,6 @@ def edge(u: int, v: int, wt: Number) -> Edge:
     if u < 0:
         raise InvalidParameter(f"negative vertex id {u}")
     return Edge(u, v, wt)
-
-
-def beta_compare(e1: Edge, e2: Edge) -> int:
-    """-1, 0 or +1 as e1 is lighter than, equal to, or heavier than e2."""
-    b1, b2 = e1.beta, e2.beta
-    if b1 < b2:
-        return -1
-    if b1 > b2:
-        return 1
-    return 0
 
 
 def edge_universe_size(n: int) -> int:

@@ -46,6 +46,7 @@ from .core import (
     INSERT,
     InvalidParameter,
     MalformedStream,
+    Sentinel,
     StreamElement,
     edge_at_index,
     matching_of,
@@ -74,24 +75,8 @@ def round_weight(w, epsilon: float) -> int:
     return t
 
 
-class Fail:
-    """Sentinel: the sampler could not decode any live index."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Fail"
-
-    def __bool__(self):
-        return False
-
-
-FAIL = Fail()
+# the sampler could not decode any live index
+FAIL = Sentinel("Fail")
 
 
 class Sample(NamedTuple):
@@ -292,13 +277,11 @@ class DynamicMatcher(CellGrid):
         if delta is None:
             delta = default_delta(k)
         super().__init__(n * (n - 1) // 2, delta, rng)
-        self._weight_keys = set()  # every weight key seen
         self._weight_counts = {}   # true weight -> live edge count
         self._live = {} if validate else None
         # instrumentation
         self.updates = 0
         self.last_keys_touched = 0
-        self.max_keys_touched = 0
         self.last_fail_count = 0
 
     # -- update path ---------------------------------------------------
@@ -323,7 +306,6 @@ class DynamicMatcher(CellGrid):
         if self.epsilon is not None:
             # t(1) = 0, so key -1 is free for weight 0
             key_w = round_weight(w, self.epsilon) if w else -1
-        self._weight_keys.add(key_w)
         hu = scheme_eval(self.scheme, u)
         hv = scheme_eval(self.scheme, v)
         d4 = self.scheme.d4
@@ -333,8 +315,6 @@ class DynamicMatcher(CellGrid):
         _bump(self._weight_counts, w, d)
         self.updates += 1
         self.last_keys_touched = len(hu) * len(hv)
-        if self.last_keys_touched > self.max_keys_touched:
-            self.max_keys_touched = self.last_keys_touched
 
     def _check(self, u, v, w, d):
         key = (u, v)
@@ -381,7 +361,9 @@ class DynamicMatcher(CellGrid):
 
     @property
     def distinct_weight_keys(self) -> int:
-        return len(self._weight_keys)
+        """Weight keys of the live samplers (key -1 is weight 0)."""
+        d4 = self.scheme.d4
+        return len({base // (d4 * d4) for base in self._counts})
 
     @property
     def live_sampler_count(self) -> int:
@@ -395,7 +377,6 @@ class DynamicMatcher(CellGrid):
             "live_samplers": self.live_sampler_count,
             "cells": len(self.cells),
             "keys_touched_last": self.last_keys_touched,
-            "keys_touched_max": self.max_keys_touched,
             "fail_count_last_query": self.last_fail_count,
         }
 
@@ -412,5 +393,4 @@ class DynamicMatcher(CellGrid):
         self._merge_cells(other)
         for w, cnt in other._weight_counts.items():
             _bump(self._weight_counts, w, cnt)
-        self._weight_keys |= other._weight_keys
         self.updates += other.updates

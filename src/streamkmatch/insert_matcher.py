@@ -20,7 +20,7 @@ import math
 
 from .core import Edge, InvalidParameter, MalformedStream
 from .reducer import C_RED, ReducerState, new_vertex_partition, reduce
-from .solver import NO_K_MATCHING, max_weight_k_matching
+from .solver import NO_K_MATCHING, max_weight_k_matching, preference
 
 _INF = math.inf
 
@@ -128,21 +128,10 @@ class InsertMatcher:
         if self.reducers[0] is None:
             # first segment: the buffer is the whole graph so far
             return max_weight_k_matching(self.filling, self.k)
-        best = NO_K_MATCHING
+        answers = []
         for f, red in zip(self.hashes, self.reducers):
-            latest = red.run_to_completion()
-            candidate = reduce(latest + self.filling, f, self.k)
+            candidate = reduce(red.run_to_completion() + self.filling, f, self.k)
             answer = max_weight_k_matching(candidate, self.k)
-            if answer is NO_K_MATCHING:
-                continue
-            if (
-                best is NO_K_MATCHING
-                or answer.weight > best.weight
-                or (
-                    answer.weight == best.weight
-                    and answer.beta_profile < best.beta_profile
-                )
-            ):
-                best = answer
-        return best
-
+            if answer is not NO_K_MATCHING:
+                answers.append(answer)
+        return min(answers, key=preference, default=NO_K_MATCHING)

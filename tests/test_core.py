@@ -15,7 +15,6 @@ from streamkmatch import (
     MODE_DYNAMIC,
     MODE_INSERT_ONLY,
     Stream,
-    beta_compare,
     delete,
     edge,
     edge_at_index,
@@ -55,11 +54,9 @@ class TestEdge:
 
     def test_beta_is_weight_then_endpoints(self):
         assert Edge(1, 2, 5).beta == (5, 1, 2)
-        assert beta_compare(Edge(0, 1, 5), Edge(0, 1, 4)) == 1
-        assert beta_compare(Edge(0, 1, 4), Edge(0, 1, 5)) == -1
-        assert beta_compare(Edge(0, 1, 4), Edge(0, 1, 4)) == 0
+        assert Edge(0, 1, 5).beta > Edge(0, 1, 4).beta
         # equal weights: endpoints break the tie, so the order is total
-        assert beta_compare(Edge(0, 9, 4), Edge(1, 2, 4)) == -1
+        assert Edge(0, 9, 4).beta < Edge(1, 2, 4).beta
 
     def test_distinct_edges_have_distinct_beta(self):
         rng = random.Random(7)

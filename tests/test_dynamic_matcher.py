@@ -157,7 +157,6 @@ class TestExactMode:
         m.process_update(insert(0, 1, 5))
         assert m.updates == 1
         assert m.last_keys_touched == m.scheme.d2 ** 2
-        assert m.max_keys_touched == m.scheme.d2 ** 2
         stats = m.stats()
         assert stats["updates"] == 1
         assert stats["distinct_live_weights"] == 1
@@ -222,8 +221,10 @@ class TestMatcherDoor:
             m.process_update(insert(0, 1, w))
             m.process_update(delete(0, 1, w))
         assert not m.cells and not m._counts
+        assert m.distinct_weight_keys == 0  # keys follow the live set
         m.process_update(insert(0, 1, 5000))
         m.process_update(insert(2, 3, 5000))
+        assert m.distinct_weight_keys == 1
         assert m.query().edges == (Edge(0, 1, 5000),)
         m.process_update(delete(0, 1, 5000))
         assert m.query().edges == (Edge(2, 3, 5000),)
