@@ -3,7 +3,9 @@
 The dynamic matcher is a grid of linear edge samplers, so deletions are
 true inverses of insertions, and two grids built with identical
 randomness over different parts of a stream can be merged cell-wise
-into the grid of the whole stream.
+into the grid of the whole stream.  A sampler that holds one edge
+stores one top cell; only samplers that have taken two distinct edges
+store per-repetition cells.
 """
 
 import random
@@ -31,8 +33,11 @@ answer = matcher.query()
 truth = max_weight_k_matching(materialize(stream.elements), K)
 stats = matcher.stats()
 
-print(f"grid: {stats['live_samplers']} live samplers, {stats['cells']} cells, "
+print(f"grid: {stats['live_samplers']} live samplers "
+      f"({stats['negative_samplers']} with a negative count), "
       f"{stats['keys_touched_last']} keys touched per update")
+print(f"  {stats['cells']} per-repetition cells, stored by samplers that took "
+      f"two distinct edges")
 if answer is NO_K_MATCHING:
     print("dynamic answer: no k-matching")
 else:

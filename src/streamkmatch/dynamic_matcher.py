@@ -25,6 +25,25 @@ than 2^63 updates, so cells add as ints: deletions are exact inverses,
 grids with the same randomness merge cell-wise, and a cell is zero
 exactly when all its sums are.
 
+Storage rule.  Each sampler keeps a top cell, the sum of every update
+it has taken (its level-0 suffix in every repetition), dropped at zero;
+the count is its low field.  While every update a sampler has taken
+carries one index, it stores only the top cell and that index: each
+repetition would hold that one cell at the index's level, so decoding
+the top cell runs the checks repetition 0 runs, on the same sum.
+Whether a sampler holds one index is known exactly, with no
+fingerprint test.  The first update with a second index makes it full:
+the top cell is spread to the held index's levels, and from then on
+every update also reaches the per-repetition cells of its index's
+levels.  A full sampler stays full until its top cell is zero.  A full
+sampler whose top cell sums to zero while its cells do not has net
+multiplicities whose fingerprint sum vanishes at z: the same
+<= universe/q event the decoder already accepts as a false decode.
+The stored state depends on order (+a, +b, -b leaves a full sampler;
++a merged with +b, -b leaves a one-index one), the decode does not;
+dense_cells() is the order-free view, every sampler spread to its
+levels.
+
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
 Sharing keeps each per-sampler failure bound (a per-cell union bound)
@@ -107,10 +126,12 @@ def _split(x: int, bits: int):
 class CellGrid:
     """Many l0-samplers over [0, universe) sharing hashes and cells.
 
-    A sampler is named by an integer base; `_counts` keeps the net
-    count of each sampler that has one.  Only positive counts decode:
-    a suffix whose count is zero or negative (a delete whose insert has
-    not arrived) is skipped.
+    A sampler is named by an integer base.  `tops` maps each sampler to
+    its top cell, the sum of every update it has taken; its count is
+    the low field.  `_held` maps a one-index sampler to its index.  A
+    full sampler keeps its per-repetition cells in `cells`.  Only
+    positive counts decode: a suffix whose count is zero or negative
+    (a delete whose insert has not arrived) is skipped.
     """
 
     def __init__(self, universe: int, delta: float, rng):
@@ -128,17 +149,22 @@ class CellGrid:
             random_kwise(kappa, span, rng) for _ in range(self.reps)
         ]
         self.z = rng.randrange(1, FIELD_PRIME)
-        self.cells = {}   # (base, rep, exact level) packed -> packed sums
-        self._counts = {}  # base -> net count, zeros dropped
+        self.tops = {}    # base -> top cell, zeros dropped
+        self._held = {}   # one-index base -> its index
+        self.cells = {}   # (full base, rep, exact level) packed -> packed sums
         # a cell key is (base << _shift) | (rep << _lev_bits) | level
         self._lev_bits = (self.levels - 1).bit_length()
         self._shift = self._lev_bits + (self.reps - 1).bit_length()
         # the fingerprint's offset; the index sum fills the bits below it
         self._fp_at = 2 * _C0_BITS + universe.bit_length()
 
-    def _add(self, bases, index: int, d: int, payload) -> None:
-        """Add d copies of index, each carrying payload, to every sampler
-        in bases."""
+    def _cell(self, index: int, d: int, payload) -> int:
+        """The packed sums of d copies of index, each carrying payload."""
+        upper = (payload << _FP_BITS) + pow(self.z, index, FIELD_PRIME)
+        return d * (1 + (index << _C0_BITS) + (upper << self._fp_at))
+
+    def _levels_of(self, index: int):
+        """The (rep, exact level) bits of index's cell in every repetition."""
         top = self.levels - 1
         lev_bits = self._lev_bits
         rls = []
@@ -146,22 +172,56 @@ class CellGrid:
             val = g(index)
             lev = (val & -val).bit_length() - 1 if val else top
             rls.append((rep << lev_bits) | lev)
-        upper = (payload << _FP_BITS) + pow(self.z, index, FIELD_PRIME)
-        cell = d * (1 + (index << _C0_BITS) + (upper << self._fp_at))
-        cells = self.cells
-        for base in bases:
-            _bump(self._counts, base, d)
-            kb = base << self._shift
-            for rl in rls:
-                _bump(cells, kb | rl, cell)
+        return rls
 
-    def _decode(self, bases):
-        """Query each sampler in bases once.  Returns the decoded
-        (index, count, payload per copy) triples and the fail count."""
+    def _spread(self, cells: dict, base, rls, cell: int) -> None:
+        """Add cell to base's cells at the (rep, level) bits rls."""
+        kb = base << self._shift
+        for rl in rls:
+            _bump(cells, kb | rl, cell)
+
+    def _make_full(self, base) -> None:
+        """Give a one-index sampler its per-repetition cells."""
+        index = self._held.pop(base, None)
+        if index is not None:
+            self._spread(self.cells, base, self._levels_of(index), self.tops[base])
+
+    def _add(self, bases, index: int, cell: int) -> None:
+        """Add cell, whose updates all carry index, to every sampler in
+        bases."""
+        tops = self.tops
+        held = self._held
+        rls = None  # index's levels, needed only by a full sampler
+        for base in bases:
+            top = tops.get(base)
+            if top is None:
+                tops[base] = cell
+                held[base] = index
+                continue
+            one = held.get(base)
+            if one != index:  # full, or full from now on
+                if one is not None:
+                    self._make_full(base)
+                if rls is None:
+                    rls = self._levels_of(index)
+                self._spread(self.cells, base, rls, cell)
+            top += cell
+            if top:
+                tops[base] = top
+            else:
+                del tops[base]
+                if one == index:
+                    del held[base]
+
+    def _decode(self):
+        """Query each sampler whose count is not zero once.  Returns the
+        decoded (index, count, payload per copy) triples and the fail
+        count."""
         q = FIELD_PRIME
         z = self.z
         universe = self.universe
         cget = self.cells.get
+        held = self._held
         shift = self._shift
         lev_bits = self._lev_bits
         c0_mask = (1 << _C0_BITS) - 1
@@ -172,20 +232,30 @@ class CellGrid:
         fp_mask = (1 << _FP_BITS) - 1
         reps = range(self.reps)
         levels = range(self.levels - 1, -1, -1)
+
+        def suffixes(rb):
+            s = 0
+            for lev in levels:
+                c = cget(rb | lev)
+                if c is not None:  # no cell: the same suffix as above
+                    s += c
+                    yield s
+
         zpow = {}  # z^j of the candidates this query has seen
         found = []
         fails = 0
-        for base in bases:
-            kb = base << shift
+        for base, top in self.tops.items():
+            if not top & c0_mask:
+                continue  # count zero
+            if base in held:
+                # every repetition meets this one sum at the index's level
+                walks = ((top,),)
+            else:
+                kb = base << shift
+                walks = (suffixes(kb | (rep << lev_bits)) for rep in reps)
             got = None
-            for rep in reps:
-                rb = kb | (rep << lev_bits)
-                s = 0
-                for lev in levels:
-                    c = cget(rb | lev)
-                    if c is None:
-                        continue  # same suffix as the level above
-                    s += c
+            for walk in walks:
+                for s in walk:
                     # unsigned reads: a decodable suffix has 0 < c0 < 2^63, c1 >= 0
                     c0 = s & c0_mask
                     if not 0 < c0 < c0_cap:
@@ -216,10 +286,31 @@ class CellGrid:
         return found, fails
 
     def _merge_cells(self, other: "CellGrid") -> None:
-        """Cell-wise add of a grid built with the same randomness."""
-        for mine, theirs in ((self.cells, other.cells), (self._counts, other._counts)):
-            for key, c in theirs.items():
-                _bump(mine, key, c)
+        """Add a grid built with the same randomness, sampler by sampler."""
+        for base, top in other.tops.items():
+            index = other._held.get(base)
+            if index is not None:
+                self._add((base,), index, top)
+            else:
+                self._make_full(base)
+                _bump(self.tops, base, top)
+        for key, c in other.cells.items():
+            _bump(self.cells, key, c)
+
+    def dense_cells(self) -> dict:
+        """The cells of a grid that gives every sampler per-repetition
+        cells: each one-index sampler's top cell at its index's levels,
+        plus the stored cells.  Grids that took the same updates, in any
+        order and over any sharding, have equal dense cells."""
+        dense = dict(self.cells)
+        for base, index in self._held.items():
+            self._spread(dense, base, self._levels_of(index), self.tops[base])
+        return dense
+
+    def _live_counts(self) -> dict:
+        """base -> count of every sampler whose count is not zero."""
+        return {base: c for base, top in self.tops.items()
+                if (c := _split(top, _C0_BITS)[0])}
 
 
 class L0Sampler(CellGrid):
@@ -231,11 +322,11 @@ class L0Sampler(CellGrid):
         if not isinstance(delta, int) or abs(delta) >= 1 << (_C0_BITS - 1):
             raise InvalidParameter(f"multiplicity {delta!r} must be an int of size < 2^63")
         if delta:
-            self._add((0,), index, delta, 0)
+            self._add((0,), index, self._cell(index, delta, 0))
 
     def query(self):
         """A decoded (index, multiplicity), or FAIL."""
-        found, _ = self._decode((0,))
+        found, _ = self._decode()
         return Sample(*found[0][:2]) if found else FAIL
 
     def merge(self, other: "L0Sampler") -> None:
@@ -249,10 +340,11 @@ class L0Sampler(CellGrid):
         self._merge_cells(other)
 
     def cells_snapshot(self) -> str:
-        """Cells as sorted decimal integer lines: rep, level, c0, c1, fp."""
+        """Dense cells as sorted decimal integer lines: rep, level, c0,
+        c1, fp."""
         rep_of, lev_mask = self._lev_bits, (1 << self._lev_bits) - 1
         lines = []
-        for key, cell in sorted(self.cells.items()):
+        for key, cell in sorted(self.dense_cells().items()):
             c0, rest = _split(cell, _C0_BITS)
             c1, rest = _split(rest, self._fp_at - _C0_BITS)
             fp = _split(rest, _FP_BITS)[0] % FIELD_PRIME
@@ -311,7 +403,7 @@ class DynamicMatcher(CellGrid):
         d4 = self.scheme.d4
         wb = key_w * d4 * d4
         eid = u * self.n - u * (u + 1) // 2 + (v - u - 1)
-        self._add([wb + i * d4 + j for i in hu for j in hv], eid, d, w)
+        self._add([wb + i * d4 + j for i in hu for j in hv], eid, self._cell(eid, d, w))
         _bump(self._weight_counts, w, d)
         self.updates += 1
         self.last_keys_touched = len(hu) * len(hv)
@@ -348,7 +440,7 @@ class DynamicMatcher(CellGrid):
 
     def _sample_edges(self):
         """Query every live sampler once; decoded edges carry true weights."""
-        found, self.last_fail_count = self._decode(self._counts)
+        found, self.last_fail_count = self._decode()
         weights = {eid: wt for eid, _, wt in found}
         n = self.n
         return [Edge(*edge_at_index(eid, n), wt) for eid, wt in weights.items()]
@@ -363,11 +455,17 @@ class DynamicMatcher(CellGrid):
     def distinct_weight_keys(self) -> int:
         """Weight keys of the live samplers (key -1 is weight 0)."""
         d4 = self.scheme.d4
-        return len({base // (d4 * d4) for base in self._counts})
+        return len({base // (d4 * d4) for base in self._live_counts()})
 
     @property
     def live_sampler_count(self) -> int:
-        return len(self._counts)
+        return len(self._live_counts())
+
+    @property
+    def negative_samplers(self) -> int:
+        """Samplers whose net count is below zero: more deletes than
+        inserts reached them, so the stream deleted an absent edge."""
+        return sum(c < 0 for c in self._live_counts().values())
 
     def stats(self) -> dict:
         return {
@@ -375,6 +473,7 @@ class DynamicMatcher(CellGrid):
             "distinct_live_weights": self.distinct_live_weights,
             "distinct_weight_keys": self.distinct_weight_keys,
             "live_samplers": self.live_sampler_count,
+            "negative_samplers": self.negative_samplers,
             "cells": len(self.cells),
             "keys_touched_last": self.last_keys_touched,
             "fail_count_last_query": self.last_fail_count,

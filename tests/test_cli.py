@@ -143,6 +143,17 @@ class TestRun:
         assert payload["matching"] == [[0, 1, 0], [2, 3, 5]]
         assert payload["weight"] == 5
 
+    def test_run_dyn_reports_negative_samplers(self, tmp_path, dyn_stream):
+        # a delete of an edge never inserted leaves negative counts
+        path = tmp_path / "phantom.txt"
+        path.write_text("6 1 dyn\n- 0 1 5\n")
+        code, out = run_cli("run-dyn", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["stats"]["negative_samplers"] > 0
+        code, out = run_cli("run-dyn", dyn_stream, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["stats"]["negative_samplers"] == 0
+
     def test_run_dyn_rejects_ins_stream(self, ins_stream):
         code, _ = run_cli("run-dyn", ins_stream)
         assert code == 2

@@ -3,7 +3,7 @@
 Each case feeds one seeded stream to DynamicMatcher (exact mode,
 approximation mode, or two shard grids folded together with
 merge_from) and records repr(query()), last_fail_count,
-live_sampler_count and len(cells).  Under fixed seeds a refactor of the
+live_sampler_count and len(dense_cells()).  Under fixed seeds a refactor of the
 sketch must leave every one of them unchanged, so this file checks in
 seconds what the dynamic acceptance criteria check in minutes.
 
@@ -75,7 +75,7 @@ def _run(case):
         m.merge_from(grids[1])
         m.merge_from(grids[2])
     answer = m.query()
-    return [repr(answer), m.last_fail_count, m.live_sampler_count, len(m.cells)]
+    return [repr(answer), m.last_fail_count, m.live_sampler_count, len(m.dense_cells())]
 
 
 def _record():

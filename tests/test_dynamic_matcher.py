@@ -55,10 +55,19 @@ class TestParameters:
         # cell key must give every (sampler, repetition) its own cells
         m = DynamicMatcher(10, 1, random.Random(1), delta=1e-6)
         assert m.reps == 20
+        # vertices 1 and 5 share a hash value, so both edges reach the
+        # same samplers and those store per-repetition cells
         m.process_update(insert(0, 1, 5))
-        m.process_update(insert(2, 3, 6))
-        assert len(m.cells) == len(m._counts) * m.reps
-        assert {key >> m._shift for key in m.cells} == set(m._counts)
+        m.process_update(insert(0, 5, 5))
+        full = set(m.tops) - set(m._held)
+        assert len(full) == m.scheme.d2
+        assert {key >> m._shift for key in m.cells} == full
+        rep_mask = (1 << (m._shift - m._lev_bits)) - 1
+        for base in full:
+            reps = {(key >> m._lev_bits) & rep_mask
+                    for key in m.cells if key >> m._shift == base}
+            assert reps == set(range(m.reps))
+        assert len(m.query().edges) == 1
 
 
 class TestRoundWeight:
@@ -108,7 +117,7 @@ class TestExactMode:
         m.process_update(insert(0, 1, 5))
         m.process_update(delete(0, 1, 5))
         assert m.query() is NO_K_MATCHING
-        assert not m.cells and not m._counts
+        assert not m.cells and not m.tops
 
     def test_mostly_optimal_on_random_streams(self):
         hits = 0
@@ -149,8 +158,8 @@ class TestExactMode:
             b.process_update(el)
         for el in junk:
             b.process_update(delete(el.edge.u, el.edge.v, el.edge.wt))
-        assert a.cells == b.cells
-        assert a._counts == b._counts
+        assert a.dense_cells() == b.dense_cells()
+        assert a.tops == b.tops
 
     def test_instrumentation(self):
         m = DynamicMatcher(30, 2, random.Random(5))
@@ -178,7 +187,7 @@ class TestValidation:
         m = DynamicMatcher(10, 1, random.Random(7))
         m.process_update(delete(0, 1, 5))  # accepted: counts go negative
         m.process_update(insert(0, 1, 5))  # cancels out
-        assert not m.cells and not m._counts
+        assert not m.cells and not m.tops
 
 
 class TestMatcherDoor:
@@ -220,7 +229,7 @@ class TestMatcherDoor:
         for w in range(1, 4097):
             m.process_update(insert(0, 1, w))
             m.process_update(delete(0, 1, w))
-        assert not m.cells and not m._counts
+        assert not m.cells and not m.tops
         assert m.distinct_weight_keys == 0  # keys follow the live set
         m.process_update(insert(0, 1, 5000))
         m.process_update(insert(2, 3, 5000))
@@ -272,12 +281,12 @@ class TestCellFormat:
             right.process_update(el)
         assert whole.query().weight == w2 + w3
         left.merge_from(right)
-        assert left.cells == whole.cells
-        assert left._counts == whole._counts
+        assert left.dense_cells() == whole.dense_cells()
+        assert left.tops == whole.tops
         for el in stream:
             e = el.edge
             whole.process_update(delete(e.u, e.v, e.wt))
-        assert not whole.cells and not whole._counts
+        assert not whole.cells and not whole.tops
 
     def test_cells_are_not_gc_tracked(self):
         # 20 live edges at k=2 hold about 26 000 cells; as containers the
@@ -293,6 +302,20 @@ class TestCellFormat:
         gc.collect()
         grown = len(gc.get_objects()) - before
         assert grown < 1000
+
+
+class TestSparseSamplers:
+    def test_one_live_edge_per_sampler_stores_no_cells(self):
+        m = DynamicMatcher(200, 2, random.Random(51))
+        pairs = random.Random(52).sample(
+            [(u, v) for u in range(200) for v in range(u + 1, 200)], 20
+        )
+        for w, (u, v) in enumerate(pairs):
+            m.process_update(insert(u, v, w % 4))
+        assert set(m._held) == set(m.tops)
+        assert len(m.tops) == 20 * m.scheme.d2 ** 2
+        assert len(m.cells) == 0
+        assert len(m.dense_cells()) == len(m.tops) * m.reps
 
 
 class TestApproximation:
@@ -367,14 +390,33 @@ class TestMerge:
             right.process_update(el)  # deletes may precede their inserts
         left.merge_from(right)
         # cell keys carry the weight itself, so the merged grid equals
-        # the sequential one key for key
-        assert left.cells == whole.cells
-        assert left._counts == whole._counts
+        # the sequential one key for key once one-index samplers are
+        # spread to their levels
+        assert left.dense_cells() == whole.dense_cells()
+        assert left.tops == whole.tops
         a, b = left.query(), whole.query()
         if a is NO_K_MATCHING or b is NO_K_MATCHING:
             assert a is b
         else:
             assert a == b
+
+    def test_second_index_then_delete_matches_merged(self):
+        # +a, +b, -b in one grid leaves the shared samplers full; +a
+        # merged with a shard that took +b, -b leaves them one-index
+        a, b = insert(0, 1, 5), insert(0, 5, 5)  # 1 and 5 share a hash value
+        whole, left, right = (DynamicMatcher(10, 1, random.Random(1)) for _ in range(3))
+        for el in (a, b, delete(0, 5, 5)):
+            whole.process_update(el)
+        left.process_update(a)
+        right.process_update(b)
+        right.process_update(delete(0, 5, 5))
+        left.merge_from(right)
+        assert whole.cells and not left.cells
+        assert left.dense_cells() == whole.dense_cells()
+        assert left.tops == whole.tops
+        assert left.query() == whole.query()
+        assert left.last_fail_count == whole.last_fail_count
+        assert left.live_sampler_count == whole.live_sampler_count
 
     def test_merge_rejects_mismatched_randomness(self):
         a = DynamicMatcher(20, 2, random.Random(1))

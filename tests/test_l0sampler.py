@@ -69,7 +69,7 @@ class TestDecoding:
             s.update(i, 2)
         for i in (3, 17, 40):
             s.update(i, -2)
-        assert not s.cells
+        assert not s.cells and not s.tops
         assert s.query() is FAIL
 
     def test_decodes_live_index_only(self):
@@ -136,6 +136,24 @@ class TestMergeAndSnapshot:
         a.merge(b)
         assert a.cells_snapshot() == whole.cells_snapshot()
         assert a.query() == whole.query()
+
+    def test_phantom_delete_expands_on_merge(self):
+        # a one-index sampler with a negative count meets a second index
+        for first, second in ((0, 1), (1, 0)):
+            whole = L0Sampler(128, 0.1, random.Random(14))
+            shards = [L0Sampler(128, 0.1, random.Random(14)) for _ in range(2)]
+            whole.update(9, -1)
+            whole.update(40, 1)
+            shards[0].update(9, -1)
+            shards[1].update(40, 1)
+            merged = shards[first]
+            merged.merge(shards[second])
+            assert merged.cells == whole.cells == whole.dense_cells()
+            assert merged.query() is whole.query() is FAIL  # net count 0
+            merged.update(100, 1)
+            whole.update(100, 1)
+            assert merged.cells_snapshot() == whole.cells_snapshot()
+            assert merged.query() == whole.query()
 
     def test_merge_rejects_mismatched_randomness(self):
         a = L0Sampler(128, 0.1, random.Random(10))
