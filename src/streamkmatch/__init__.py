@@ -62,7 +62,6 @@ from .insert_matcher import InsertMatcher, step_budget
 from .reducer import (
     C_RED,
     ReducerState,
-    compact_subgraph,
     new_vertex_partition,
     reduce,
 )

@@ -49,11 +49,11 @@ class InsertMatcher:
         self.segment_size = 4 * k * k
         self.budget = step_budget(k, epsilon)
         self.filling = []
-        self.sketches = [[] for _ in self.hashes]
         self.reducers = [None for _ in self.hashes]
         self.arrivals = 0
         # instrumentation (cheap, always on)
         self.max_steps_per_insert = 0
+        self.stored_edges = 0
         self.peak_stored_edges = 0
 
     @property
@@ -61,20 +61,13 @@ class InsertMatcher:
         """Guaranteed ceiling on stored edges."""
         return len(self.hashes) * 12 * self.k * self.k + 4 * self.k * self.k
 
-    def _stored_edges(self) -> int:
-        total = len(self.filling)
-        for sketch, red in zip(self.sketches, self.reducers):
-            total += len(sketch)
-            if red is not None:
-                total += len(red.input_edges)
-        return total
-
     def process_insert(self, e: Edge) -> None:
         # the weight test also refuses nan, which compares false
         if not (0 <= e.u < e.v < self.n and 0 <= e.wt < _INF):
             raise MalformedStream(self.arrivals, f"bad edge {e}")
         self.filling.append(e)
         self.arrivals += 1
+        self.stored_edges += 1
         remaining = self.budget
         executed = 0
         for red in self.reducers:
@@ -89,23 +82,27 @@ class InsertMatcher:
             self.max_steps_per_insert = executed
         if self.arrivals % self.segment_size == 0:
             self._rotate()
-        stored = self._stored_edges()
-        if stored > self.peak_stored_edges:
-            self.peak_stored_edges = stored
+        if self.stored_edges > self.peak_stored_edges:
+            self.peak_stored_edges = self.stored_edges
 
     def _rotate(self) -> None:
+        # stored_edges counts the buffer and, per hash, the sketch and
+        # the reducer's input (sketch plus segment), as space_bound does
         segment = self.filling
         self.filling = []
+        stored = self.stored_edges - len(segment)
         for idx, f in enumerate(self.hashes):
             red = self.reducers[idx]
+            sketch = ()
             if red is not None:
                 if not red.done:
                     # the budget is sized to make this unreachable
                     raise RuntimeError("reduction missed its segment deadline")
-                self.sketches[idx] = red.output
-            self.reducers[idx] = ReducerState(
-                self.sketches[idx] + segment, f, self.k, self.budget
-            )
+                sketch = red.kept
+                stored -= 2 * len(red.carry) + len(red.edges)
+            stored += 2 * len(sketch) + len(segment)
+            self.reducers[idx] = ReducerState(segment, f, self.k, self.budget, sketch)
+        self.stored_edges = stored
 
     def stats(self) -> dict:
         return {
@@ -130,7 +127,8 @@ class InsertMatcher:
             return max_weight_k_matching(self.filling, self.k)
         answers = []
         for f, red in zip(self.hashes, self.reducers):
-            candidate = reduce(red.run_to_completion() + self.filling, f, self.k)
+            red.run_to_completion()
+            candidate = reduce(self.filling, f, self.k, red.kept)
             answer = max_weight_k_matching(candidate, self.k)
             if answer is not NO_K_MATCHING:
                 answers.append(answer)

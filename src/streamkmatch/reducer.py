@@ -1,34 +1,53 @@
-"""Compact and reduced subgraphs under a vertex-partition hash.
+"""Reduced subgraphs under a vertex-partition hash, paid for in units.
 
-Given a hash f from vertices into 4k^2 buckets:
+Given a hash f from vertices into r = 4k^2 buckets, the reduced
+subgraph of a set of edges is built in four phases:
 
-  * the compact subgraph keeps, for each unordered bucket pair, only
-    the heaviest edge running between the two buckets (edges whose
-    endpoints share a bucket are dropped);
-  * the reduced subgraph then trims the compact subgraph in two steps:
-    per bucket, keep only edges among the 2k heaviest incident to that
-    bucket (an edge must survive via both endpoint buckets), and then
-    keep only the 4k^2 heaviest edges overall.
+  * BucketFilter: drop edges whose endpoints share a bucket;
+  * PairDedup: keep, for each unordered bucket pair, only the heaviest
+    edge running between the two buckets (the compact subgraph);
+  * TopPerBucket: per bucket, keep only edges among the 2k heaviest
+    incident to that bucket (an edge must survive via both endpoint
+    buckets);
+  * GlobalTop: keep only the 4k^2 heaviest edges overall.
 
 The reduced subgraph has at most 4k^2 edges and preserves the best
 k-matching whose vertices all land in distinct buckets.
 
-ReducerState runs the same computation in micro-steps (one element
-touch each) so a stream consumer can spread the work across arrivals
-with a fixed per-arrival budget.
+ReducerState runs the computation under the budget protocol of
+selection.py, so a stream consumer can spread it across arrivals with a
+fixed per-arrival budget.  One unit is one element touch: one per input
+edge, one per tagged edge, one per bucket pair when bucketing it, the
+units of each bucket's top-2k selection, one per edge a bucket keeps,
+one per bucket pair when collecting the survivors, and the units of the
+global top-4k^2 selection.  `step_upto(limit)` resumes the machine with
+one `send(limit)`; the machine yields only when the limit is spent and
+work remains.  Every slice of real work, each list slice and dict walk
+included, belongs to a charged slice of units, and the uncharged work
+between two slices is O(1) (a resume passes through at most the
+select's recursion depth, O(log k) frames), so a call that returns u
+does O(u + 1) work, and an arrival, which resumes at most one machine
+per hash, does O(budget + hashes) work.
+
+The machine works on entries (wt, u, v, code, edge): their natural
+order is the edge heaviness order beta = (wt, u, v), and code = i*r + j
+names the bucket pair i < j.  The entries a reduction keeps (`kept`)
+can be carried into the next reduction under the same hash, which then
+takes them without hashing their endpoints again.
 """
 
 from __future__ import annotations
 
-from .core import Edge, InvalidParameter
+from collections import defaultdict
+from itertools import islice
+
+from .core import InvalidParameter
 from .hashing import UniversalHash, random_universal
-from .selection import top_t_steps
+from .selection import top_t_steps, walk
 
-# Calibrated micro-step constant: a full reduction of m edges yields at
-# most C_RED * (m + k^2) micro-steps.  Pinned by a calibration test.
+# Calibrated unit constant: a full reduction of m edges spends at most
+# C_RED * (m + k^2) units.  Pinned by a calibration test.
 C_RED = 24
-
-_BETA = lambda e: e.beta  # noqa: E731  (used as a selection key everywhere)
 
 
 def new_vertex_partition(k: int, rng) -> UniversalHash:
@@ -38,62 +57,56 @@ def new_vertex_partition(k: int, rng) -> UniversalHash:
     return random_universal(4 * k * k, rng)
 
 
-def compact_subgraph(edges, f: UniversalHash):
-    """Definitional compact subgraph: heaviest edge per bucket pair."""
-    best = {}
-    for e in edges:
-        i, j = f(e.u), f(e.v)
-        if i == j:
-            continue
-        pair = (i, j) if i < j else (j, i)
-        cur = best.get(pair)
-        if cur is None or e.beta > cur.beta:
-            best[pair] = e
-    return list(best.values())
-
-
 class ReducerState:
-    """Resumable computation of the reduced subgraph.
+    """Resumable computation of the reduced subgraph of carry + edges.
 
-    phase walks BucketFilter -> PairDedup -> TopPerBucket -> GlobalTop
-    -> Done; output is available once phase == "Done".  step() advances
-    at most the configured number of micro-steps and is a no-op after
-    completion.
+    `edges` is a sequence that must not change before the reduction is
+    done; `carry` is the `kept` list of an earlier reduction under the
+    same f.  phase walks BucketFilter -> PairDedup -> TopPerBucket ->
+    GlobalTop -> Done; `kept` and `output` are set once phase == "Done".
+    step() spends at most the configured number of units and is a no-op
+    after completion.
     """
 
-    def __init__(self, edges, f: UniversalHash, k: int, budget_per_step: int):
+    def __init__(self, edges, f: UniversalHash, k: int, budget_per_step: int, carry=()):
         if budget_per_step < 1:
             raise InvalidParameter("budget_per_step must be >= 1")
-        self.input_edges = list(edges)
+        self.edges = edges
+        self.carry = carry
         self.f = f
         self.k = k
         self.budget = budget_per_step
         self.phase = "BucketFilter"
-        self.output = None
+        self.kept = None
         self.steps_total = 0
         self._gen = self._run()
+        next(self._gen)  # to the first budget request; no work done yet
 
     @property
     def done(self) -> bool:
         return self.phase == "Done"
 
+    @property
+    def output(self):
+        """The reduced subgraph's edges (None until done)."""
+        return None if self.kept is None else [x[4] for x in self.kept]
+
     def step(self) -> int:
-        """Advance up to budget micro-steps; returns steps executed."""
+        """Spend up to budget units; returns units spent."""
         return self.step_upto(self.budget)
 
     def step_upto(self, limit: int) -> int:
         if self.phase == "Done":
             return 0
-        executed = 0
-        gen = self._gen
         try:
-            while executed < limit:
-                next(gen)
-                executed += 1
-        except StopIteration:
+            self._gen.send(limit)
+        except StopIteration as stop:
             self.phase = "Done"
-        self.steps_total += executed
-        return executed
+            spent = limit - stop.value
+        else:
+            spent = limit
+        self.steps_total += spent
+        return spent
 
     def run_to_completion(self) -> list:
         while self.phase != "Done":
@@ -101,67 +114,86 @@ class ReducerState:
         return self.output
 
     def _run(self):
-        k = self.k
-        f = self.f
-        cap_bucket = 2 * k
-        cap_global = 4 * k * k
+        budget = yield
+        f, r = self.f, self.f.r
+        edges, carry = self.edges, self.carry
+        cap_bucket = 2 * self.k
+        cap_global = 4 * self.k * self.k
 
-        # phase 1: drop intra-bucket edges, tagging each with its pair
+        # phase 1: carried entries are tagged already; new edges are
+        # bucketed, and intra-bucket ones dropped
         tagged = []
-        for e in self.input_edges:
-            yield
-            i, j = f(e.u), f(e.v)
-            if i != j:
-                tagged.append(((i, j) if i < j else (j, i), e))
 
-        # phase 2: heaviest edge per bucket pair
+        def carried(pos, end):
+            tagged.extend(carry[pos:end])
+
+        def bucketed(pos, end):
+            for e in edges[pos:end]:
+                u, v, wt = e
+                i, j = f(u), f(v)
+                if i < j:
+                    tagged.append((wt, u, v, i * r + j, e))
+                elif j < i:
+                    tagged.append((wt, u, v, j * r + i, e))
+
+        budget = yield from walk(len(carry), budget, carried)
+        budget = yield from walk(len(edges), budget, bucketed)
+
+        # phase 2: heaviest entry per bucket pair
         self.phase = "PairDedup"
         best = {}
-        for pair, e in tagged:
-            yield
-            cur = best.get(pair)
-            if cur is None or e.beta > cur[1].beta:
-                best[pair] = (pair, e)
 
-        # phase 3: per bucket, keep only the 2k heaviest incident edges;
-        # an edge survives iff kept by both of its endpoint buckets
+        def dedup(pos, end):
+            for x in tagged[pos:end]:
+                cur = best.get(x[3])
+                if cur is None or x > cur:
+                    best[x[3]] = x
+
+        budget = yield from walk(len(tagged), budget, dedup)
+
+        # phase 3: per bucket, keep only the 2k heaviest incident
+        # entries; an entry survives iff kept by both of its buckets
         self.phase = "TopPerBucket"
-        buckets = {}
-        for pair, e in best.values():
-            yield
-            buckets.setdefault(pair[0], []).append(e)
-            buckets.setdefault(pair[1], []).append(e)
+        buckets = defaultdict(list)
+        pairs = iter(best.values())
+
+        def spread(pos, end):
+            for x in islice(pairs, end - pos):
+                i, j = divmod(x[3], r)
+                buckets[i].append(x)
+                buckets[j].append(x)
+
+        budget = yield from walk(len(best), budget, spread)
         marks = {}
-        for incident in buckets.values():
-            if len(incident) <= cap_bucket:
-                kept = incident
-                for _ in incident:
-                    yield
-            else:
-                out = [None]
-                yield from top_t_steps(incident, cap_bucket, _BETA, out)
-                kept = out[0]
-            for e in kept:
-                yield
-                marks[e] = marks.get(e, 0) + 1
+
+        def mark(pos, end):
+            for x in kept[pos:end]:
+                marks[x[3]] = marks.get(x[3], 0) + 1
+
+        for kept in buckets.values():
+            n = len(kept)
+            if n <= cap_bucket and 2 * n <= budget:
+                # the bucket's n touches and n marks fit in one slice
+                budget -= 2 * n
+                mark(0, n)
+                continue
+            kept, budget = yield from top_t_steps(kept, cap_bucket, budget)
+            budget = yield from walk(len(kept), budget, mark)
         survivors = []
-        for pair, e in best.values():
-            yield
-            if marks.get(e, 0) == 2:
-                survivors.append(e)
+        pairs = iter(best.values())
+
+        def survive(pos, end):
+            survivors.extend([x for x in islice(pairs, end - pos) if marks.get(x[3]) == 2])
+
+        budget = yield from walk(len(best), budget, survive)
 
         # phase 4: keep the 4k^2 heaviest overall
         self.phase = "GlobalTop"
-        if len(survivors) <= cap_global:
-            for _ in survivors:
-                yield
-            self.output = survivors
-        else:
-            out = [None]
-            yield from top_t_steps(survivors, cap_global, _BETA, out)
-            self.output = out[0]
+        self.kept, budget = yield from top_t_steps(survivors, cap_global, budget)
+        return budget
 
 
-def reduce(edges, f: UniversalHash, k: int) -> list:
-    """Definitional reduced subgraph (the drained micro-step machine)."""
-    return ReducerState(edges, f, k, 1).run_to_completion()
+def reduce(edges, f: UniversalHash, k: int, carry=()) -> list:
+    """Reduced subgraph of carry (kept entries of an earlier reduction
+    under f) and edges, computed in one go."""
+    return ReducerState(list(edges), f, k, 1, carry).run_to_completion()

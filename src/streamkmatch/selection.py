@@ -1,92 +1,101 @@
-"""Deterministic worst-case linear selection, in resumable micro-steps.
+"""Deterministic worst-case linear selection, paid for in budget slices.
 
-The reducer needs "keep the t heaviest" under a hard budget of work per
-stream arrival, so the selection routines here are written as
-generators: every `yield` accounts for touching one element.  Draining
-a generator to completion gives the plain (non-incremental) behavior.
+The reducer needs "keep the t largest" under a hard budget of work per
+stream arrival.  The routines here spend that budget in units: one unit
+is one element touch (each item once per group-of-five pass, once per
+partition pass, once per keep pass).  The budget protocol, which the
+reducer follows too:
 
-Keys are assumed pairwise distinct (the edge heaviness order guarantees
-this), which keeps the pivot partition three-way logic trivial.
+  * a routine is called with the units it may spend now;
+  * it works through its input in `items[pos:pos + take]` slices with
+    plain loops, and yields only when its budget is spent and work
+    remains; the driver resumes it with `send(units)`;
+  * it returns (result, leftover units), so routines chain as
+    `result, budget = yield from routine(..., budget)`.
+
+Between two charged slices a routine does O(1) uncharged work (sorting
+a group of five, the sort of at most ten items that ends a select,
+starting a recursion level), so one resumption that is sent u units
+does O(u + 1) work.
+
+Items are compared in their natural order and must be pairwise
+distinct, which keeps the three-way pivot split trivial.
 """
 
 from __future__ import annotations
 
 
-def _select_steps(items, rank, key, out):
-    """Median-of-medians select: leave in out[0] the element of the given
-    ascending rank (0-based).  Yields once per element touch."""
+def walk(n: int, budget: int, visit):
+    """Spend one unit per position in [0, n): call visit(pos, end) on
+    consecutive slices, each as long as the budget allows.  Returns the
+    leftover budget."""
+    pos = 0
+    while pos < n:
+        if not budget:
+            budget = yield
+        end = min(n, pos + budget)
+        visit(pos, end)
+        budget -= end - pos
+        pos = end
+    return budget
+
+
+def _touch(pos: int, end: int) -> None:
+    """A visit whose only work is the touch itself."""
+
+
+def select_steps(items, rank: int, budget: int):
+    """Median of medians (Blum, Floyd, Pratt, Rivest & Tarjan 1973):
+    the item of the given ascending rank (0-based), and the leftover
+    budget."""
     while True:
-        if len(items) <= 10:
-            for _ in items:
-                yield
-            items = sorted(items, key=key)
-            out[0] = items[rank]
-            return
+        n = len(items)
+        if n <= 10:
+            budget = yield from walk(n, budget, _touch)
+            return sorted(items)[rank], budget
         medians = []
-        for g in range(0, len(items), 5):
-            group = items[g : g + 5]
-            for _ in group:
-                yield
-            group.sort(key=key)
-            medians.append(group[len(group) // 2])
-        sub = [None]
-        yield from _select_steps(medians, len(medians) // 2, key, sub)
-        pivot = key(sub[0])
+
+        def group(pos, end):
+            # sort each group of five once its last item is touched
+            last = n if end == n else end - end % 5
+            for g in range(5 * len(medians), last, 5):
+                five = sorted(items[g : g + 5])
+                medians.append(five[len(five) // 2])
+
+        budget = yield from walk(n, budget, group)
+        pivot, budget = yield from select_steps(medians, len(medians) // 2, budget)
         lows, highs = [], []
-        pivot_item = None
-        for x in items:
-            yield
-            kx = key(x)
-            if kx < pivot:
-                lows.append(x)
-            elif kx > pivot:
-                highs.append(x)
-            else:
-                pivot_item = x
+
+        def split(pos, end):
+            chunk = items[pos:end]
+            lows.extend([x for x in chunk if x < pivot])
+            highs.extend([x for x in chunk if x > pivot])
+
+        budget = yield from walk(n, budget, split)
         if rank < len(lows):
             items = lows
         elif rank == len(lows):
-            out[0] = pivot_item
-            return
+            return pivot, budget
         else:
             rank -= len(lows) + 1
             items = highs
 
 
-def top_t_steps(items, t, key, out):
-    """Leave in out[0] the list of the t largest elements by key.
-    Yields once per element touch; worst-case linear total."""
+def top_t_steps(items, t: int, budget: int):
+    """The t largest items, in input order (items itself when it has at
+    most t), and the leftover budget.  Worst-case linear in units."""
     if t <= 0:
-        out[0] = []
-        return
-    if len(items) <= t:
-        for _ in items:
-            yield
-        out[0] = list(items)
-        return
-    # threshold = smallest element of the top t block
-    sub = [None]
-    yield from _select_steps(items, len(items) - t, key, sub)
-    threshold = key(sub[0])
+        return [], budget
+    n = len(items)
+    if n <= t:
+        budget = yield from walk(n, budget, _touch)
+        return items, budget
+    # threshold = smallest item of the top t block
+    threshold, budget = yield from select_steps(items, n - t, budget)
     picked = []
-    for x in items:
-        yield
-        if key(x) >= threshold:
-            picked.append(x)
-    out[0] = picked
 
+    def keep(pos, end):
+        picked.extend([x for x in items[pos:end] if x >= threshold])
 
-def select_rank(items, rank, key):
-    """Plain (drained) form of _select_steps."""
-    out = [None]
-    for _ in _select_steps(list(items), rank, key, out):
-        pass
-    return out[0]
-
-
-def top_t(items, t, key):
-    """Plain (drained) form of top_t_steps."""
-    out = [None]
-    for _ in top_t_steps(list(items), t, key, out):
-        pass
-    return out[0]
+    budget = yield from walk(n, budget, keep)
+    return picked, budget

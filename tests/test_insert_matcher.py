@@ -16,8 +16,10 @@ from streamkmatch import (
     materialize,
     max_weight_k_matching,
 )
+from reducer_reference import ReferenceInsertMatcher
+from streamkmatch import insert_matcher
 from streamkmatch.insert_matcher import step_budget
-from streamkmatch.reducer import C_RED
+from streamkmatch.reducer import C_RED, ReducerState
 
 
 class TestParameters:
@@ -180,7 +182,7 @@ class TestBudgets:
             m = InsertMatcher(40, k, eps, random.Random(trial))
             for el in stream.elements:
                 m.process_insert(el.edge)
-                assert m._stored_edges() <= m.space_bound
+                assert m.stored_edges <= m.space_bound
             assert m.peak_stored_edges <= m.space_bound
 
     def test_budget_independent_of_stream_position(self):
@@ -239,3 +241,54 @@ class TestBoundarySketches:
                         assert (got is NO_K_MATCHING) == (want is NO_K_MATCHING)
                         if got is not NO_K_MATCHING:
                             assert got.weight == want.weight
+
+
+def _recount(m):
+    """Stored edges by a full walk: the buffer and, per hash, the sketch
+    and the reducer's input (the sketch plus a segment)."""
+    total = len(m.filling)
+    for red in m.reducers:
+        if red is not None:
+            total += len(red.carry) + len(red.carry) + len(red.edges)
+    return total
+
+
+class TestAgainstReferenceMachine:
+    def test_running_total_equals_a_full_recount(self):
+        for trial in range(12):
+            k = trial % 4 + 1
+            eps = (0.5, 0.25, 1 / 16)[trial % 3]
+            stream = gen_random_stream(40, k, 400, seed=8_000 + trial)
+            m = InsertMatcher(40, k, eps, random.Random(trial))
+            ref = ReferenceInsertMatcher(40, k, eps, random.Random(trial))
+            for i, el in enumerate(stream.elements):
+                m.process_insert(el.edge)
+                ref.process_insert(el.edge)
+                assert m.stored_edges == _recount(m) == ref.stored_edges()
+                if i % 37 == 36:
+                    m.query()
+                    assert m.stored_edges == _recount(m)
+            assert m.peak_stored_edges == ref.peak_stored_edges
+
+    def test_per_arrival_steps_equal_the_reference(self, monkeypatch):
+        spent = [0]
+
+        class Counting(ReducerState):
+            def step_upto(self, limit):
+                used = super().step_upto(limit)
+                spent[0] += used
+                return used
+
+        monkeypatch.setattr(insert_matcher, "ReducerState", Counting)
+        for seed, (n, k, eps) in enumerate([(60, 3, 1 / 16), (300, 2, 0.25)]):
+            stream = gen_random_stream(n, k, 1_500, seed=9_000 + seed)
+            m = InsertMatcher(n, k, eps, random.Random(seed))
+            ref = ReferenceInsertMatcher(n, k, eps, random.Random(seed))
+            steps = []
+            for el in stream.elements:
+                before = spent[0]
+                m.process_insert(el.edge)
+                ref.process_insert(el.edge)
+                steps.append(spent[0] - before)
+            assert steps == ref.steps
+            assert max(steps) == m.max_steps_per_insert

@@ -1,15 +1,15 @@
-"""Compact/reduced subgraph construction, definitional and micro-stepped."""
+"""Compact/reduced subgraph construction, definitional and budgeted."""
 
 import random
 
 import pytest
 
+from reducer_reference import ReferenceReducer, compact_subgraph
 from streamkmatch import (
     C_RED,
     Edge,
     InvalidParameter,
     ReducerState,
-    compact_subgraph,
     new_vertex_partition,
     reduce,
 )
@@ -232,3 +232,96 @@ class TestReducerState:
         f = new_vertex_partition(1, random.Random(14))
         with pytest.raises(InvalidParameter):
             ReducerState([], f, 1, 0)
+
+
+class _Identity:
+    """Vertex i goes to bucket i."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def __call__(self, x):
+        return x
+
+
+def _random_multigraph(rng, n, m, weights):
+    """Edges that may repeat a pair, with weights drawn from `weights`."""
+    edges = []
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append(Edge(min(u, v), max(u, v), rng.choice(weights)))
+    return edges
+
+
+class TestSameAccounting:
+    """The budgeted machine against the per-element-yield machine: equal
+    units from every step_upto call, the same total at `done`, and the
+    same output, list order included."""
+
+    def _assert_same(self, rng, edges, f, k, carry=None):
+        if carry is None:
+            ours = ReducerState(edges, f, k, 1)
+            ref = ReferenceReducer(edges, f, k)
+        else:
+            ours = ReducerState(edges, f, k, 1, carry.kept)
+            ref = ReferenceReducer(carry.output + edges, f, k)
+        while not (ours.done and ref.finished):
+            limit = rng.randint(1, 40)
+            assert ours.step_upto(limit) == ref.step_upto(limit)
+        assert ours.steps_total == ref.steps_total
+        assert ours.output == ref.output
+        return ours
+
+    def test_random_inputs_every_k_and_tie_level(self):
+        rng = random.Random(15)
+        for trial in range(240):
+            k = trial % 4 + 1
+            weights = ([1], [1, 2, 3], list(range(1, 10**6)))[trial % 3]
+            f = new_vertex_partition(k, rng)
+            n = rng.randint(2, 80)
+            edges = _random_multigraph(rng, n, rng.randint(0, 12 * k * k), weights)
+            self._assert_same(rng, edges, f, k)
+
+    def test_intra_bucket_edges(self):
+        rng = random.Random(16)
+        one_bucket = type("F", (), {"r": 4, "__call__": lambda s, x: 0})()
+        edges = _random_multigraph(rng, 20, 50, [1, 2])
+        ours = self._assert_same(rng, edges, one_bucket, 1)
+        assert ours.output == []
+        two_buckets = type("F", (), {"r": 16, "__call__": lambda s, x: x % 2})()
+        for k in (1, 2, 3, 4):
+            self._assert_same(rng, _random_multigraph(rng, 30, 80, [1, 2, 3]), two_buckets, k)
+
+    def test_buckets_over_2k_take_the_select_path(self):
+        rng = random.Random(17)
+        for k in (1, 2, 3, 4):
+            f = _Identity(4 * k * k)
+            # two hubs, each joined to every other bucket: far more than
+            # 2k incident pairs per hub bucket
+            edges = [Edge(min(h, b), max(h, b), rng.choice([1, 2, rng.randint(1, 99)]))
+                     for h in (0, 1) for b in range(f.r) if b != h]
+            rng.shuffle(edges)
+            self._assert_same(rng, edges, f, k)
+
+    def test_empty_input(self):
+        rng = random.Random(18)
+        f = new_vertex_partition(2, rng)
+        ours = self._assert_same(rng, [], f, 2)
+        assert ours.steps_total == 0
+
+    def test_carried_sketch_matches_a_copied_input(self):
+        # a reduction that takes the last one's kept entries, without
+        # hashing them again, spends and returns what the machine given
+        # the copied sketch plus the segment does
+        rng = random.Random(19)
+        for trial in range(80):
+            k = trial % 4 + 1
+            f = new_vertex_partition(k, rng)
+            n = rng.randint(4, 60)
+            weights = ([1, 2], list(range(1, 1000)))[trial % 2]
+            red = ReducerState(_random_multigraph(rng, n, 4 * k * k, weights), f, k, 1)
+            red.run_to_completion()
+            for _ in range(3):
+                segment = _random_multigraph(rng, n, 4 * k * k, weights)
+                red = self._assert_same(rng, segment, f, k, carry=red)
