@@ -28,8 +28,6 @@ from .core import (
     matching_of,
     read_stream,
     stream_to_text,
-    validate_stream,
-    write_stream,
 )
 from .dynamic_matcher import (
     FAIL,
@@ -55,8 +53,6 @@ from .hashing import (
     random_universal,
     scheme_dimensions,
     scheme_eval,
-    scheme_from_text,
-    scheme_to_text,
 )
 from .insert_matcher import InsertMatcher, step_budget
 from .reducer import (

@@ -21,6 +21,7 @@ from .generators import (
     gen_index_hard,
     gen_partial_max_hard,
     gen_random_stream,
+    interleave_deletes,
 )
 from .hashing import build_hash_scheme, distinguishes
 from .insert_matcher import InsertMatcher
@@ -267,25 +268,7 @@ def _log_uniform_dynamic_stream(n, inserts, deletes, seed):
     for eid in eids:
         w = min(10_000, max(1, int(round(math.exp(rng.uniform(0.0, top))))))
         pending.append(Edge(*edge_at_index(eid, n), w))
-    from .core import MODE_DYNAMIC, Stream, delete as mk_del, insert as mk_ins
-
-    elements = []
-    live = []
-    i_rem, d_rem, pos = inserts, deletes, 0
-    while i_rem or d_rem:
-        if d_rem and live and (not i_rem or rng.random() < d_rem / (i_rem + d_rem)):
-            at = rng.randrange(len(live))
-            live[at], live[-1] = live[-1], live[at]
-            e = live.pop()
-            elements.append(mk_del(e.u, e.v, e.wt))
-            d_rem -= 1
-        else:
-            e = pending[pos]
-            pos += 1
-            live.append(e)
-            elements.append(mk_ins(e.u, e.v, e.wt))
-            i_rem -= 1
-    return Stream(n, 2, MODE_DYNAMIC, tuple(elements))
+    return interleave_deletes(n, 2, pending, deletes, rng)
 
 
 def criterion_8():
@@ -389,12 +372,10 @@ CRITERIA = (
 
 
 def run_criterion(number: int) -> CriterionResult:
-    for num, name, fn in CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            ok, detail = fn()
-            return CriterionResult(num, name, ok, detail, time.perf_counter() - start)
-    raise ValueError(f"no criterion {number}")
+    results = run_all({number})
+    if not results:
+        raise ValueError(f"no criterion {number}")
+    return results[0]
 
 
 def run_all(numbers=None, report=None):

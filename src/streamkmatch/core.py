@@ -9,7 +9,6 @@ when weights collide.
 
 from __future__ import annotations
 
-import io
 import math
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -80,10 +79,6 @@ def edge(u: int, v: int, wt: Number) -> Edge:
     return Edge(u, v, wt)
 
 
-def edge_universe_size(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def edge_index(u: int, v: int, n: int) -> int:
     """Number a canonical edge into [0, n(n-1)/2)."""
     if not (0 <= u < v < n):
@@ -93,7 +88,7 @@ def edge_index(u: int, v: int, n: int) -> int:
 
 def edge_at_index(eid: int, n: int) -> tuple:
     """Inverse of edge_index."""
-    if not (0 <= eid < edge_universe_size(n)):
+    if not (0 <= eid < n * (n - 1) // 2):
         raise InvalidParameter(f"edge id {eid} out of range for n={n}")
     # closed form start, then local adjust to dodge float rounding;
     # row u covers indices [offset, offset + n - 1 - u)
@@ -148,13 +143,13 @@ def matching_of(edges: Iterable[Edge]) -> Matching:
     return Matching(edges)
 
 
-class StreamReport(NamedTuple):
-    ok: bool
-    index: int  # -1 when ok
-    reason: str
+def materialize(elements: Sequence[StreamElement], n=None) -> list:
+    """Replay a stream and return the live edge set.
 
-
-def _replay(elements: Sequence[StreamElement], n=None):
+    Raises MalformedStream (with the position of the first violation) on
+    phantom deletes, duplicate live inserts, weight-mismatched deletes,
+    self-loops, vertices outside [0, n), or weights outside [0, inf).
+    """
     live = {}
     for pos, (e, op) in enumerate(elements):
         if e.u == e.v:
@@ -179,27 +174,7 @@ def _replay(elements: Sequence[StreamElement], n=None):
             del live[(u, v)]
         else:
             raise MalformedStream(pos, f"unknown op {op!r}")
-    return live
-
-
-def materialize(elements: Sequence[StreamElement], n=None) -> list:
-    """Replay a stream and return the live edge set.
-
-    Raises MalformedStream (with the position of the first violation) on
-    phantom deletes, duplicate live inserts, weight-mismatched deletes,
-    self-loops, vertices outside [0, n), or weights outside [0, inf).
-    """
-    live = _replay(elements, n)
     return [Edge(u, v, w) for (u, v), w in sorted(live.items())]
-
-
-def validate_stream(elements: Sequence[StreamElement], n=None) -> StreamReport:
-    """Non-raising twin of materialize: reports the first violation."""
-    try:
-        _replay(elements, n)
-    except MalformedStream as exc:
-        return StreamReport(False, exc.index, exc.reason)
-    return StreamReport(True, -1, "")
 
 
 class Stream(NamedTuple):
@@ -215,25 +190,12 @@ def _format_weight(w: Number) -> str:
     return repr(w)
 
 
-def write_stream(target, stream: Stream) -> None:
-    """Serialize in the line format: header 'n k mode', then '+/- u v w'."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        target = open(target, "w")
-        close = True
-    try:
-        target.write(f"{stream.n} {stream.k} {stream.mode}\n")
-        for e, op in stream.elements:
-            target.write(f"{op} {e.u} {e.v} {_format_weight(e.wt)}\n")
-    finally:
-        if close:
-            target.close()
-
-
 def stream_to_text(stream: Stream) -> str:
-    buf = io.StringIO()
-    write_stream(buf, stream)
-    return buf.getvalue()
+    """Serialize in the line format: header 'n k mode', then '+/- u v w'."""
+    lines = [f"{stream.n} {stream.k} {stream.mode}\n"]
+    for e, op in stream.elements:
+        lines.append(f"{op} {e.u} {e.v} {_format_weight(e.wt)}\n")
+    return "".join(lines)
 
 
 def _parse_weight(token: str, mode: str) -> Number:
@@ -246,7 +208,7 @@ def _parse_weight(token: str, mode: str) -> Number:
 
 
 def read_stream(source) -> Stream:
-    """Parse the stream text format; inverse of write_stream."""
+    """Parse the stream text format; inverse of stream_to_text."""
     close = False
     if isinstance(source, (str, bytes)):
         source = open(source)

@@ -68,6 +68,7 @@ from .core import (
     Sentinel,
     StreamElement,
     edge_at_index,
+    edge_index,
     matching_of,
 )
 from .hashing import FIELD_PRIME, build_hash_scheme, random_kwise, scheme_eval
@@ -287,6 +288,12 @@ class CellGrid:
 
     def _merge_cells(self, other: "CellGrid") -> None:
         """Add a grid built with the same randomness, sampler by sampler."""
+        if (
+            other.universe != self.universe
+            or other.level_hashes != self.level_hashes
+            or other.z != self.z
+        ):
+            raise InvalidParameter("grids built with different randomness")
         for base, top in other.tops.items():
             index = other._held.get(base)
             if index is not None:
@@ -331,12 +338,6 @@ class L0Sampler(CellGrid):
 
     def merge(self, other: "L0Sampler") -> None:
         """Cell-wise addition; both samplers must share hashes and z."""
-        if (
-            other.universe != self.universe
-            or other.level_hashes != self.level_hashes
-            or other.z != self.z
-        ):
-            raise InvalidParameter("samplers built with different randomness")
         self._merge_cells(other)
 
     def cells_snapshot(self) -> str:
@@ -402,7 +403,7 @@ class DynamicMatcher(CellGrid):
         hv = scheme_eval(self.scheme, v)
         d4 = self.scheme.d4
         wb = key_w * d4 * d4
-        eid = u * self.n - u * (u + 1) // 2 + (v - u - 1)
+        eid = edge_index(u, v, self.n)
         self._add([wb + i * d4 + j for i in hu for j in hv], eid, self._cell(eid, d, w))
         _bump(self._weight_counts, w, d)
         self.updates += 1
@@ -482,12 +483,7 @@ class DynamicMatcher(CellGrid):
     def merge_from(self, other: "DynamicMatcher") -> None:
         """Cell-wise combine of a grid built with identical randomness
         over a disjoint stream (sharded ingestion)."""
-        if (
-            other.scheme != self.scheme
-            or other.level_hashes != self.level_hashes
-            or other.z != self.z
-            or other.epsilon != self.epsilon
-        ):
+        if other.scheme != self.scheme or other.epsilon != self.epsilon:
             raise InvalidParameter("grids built with different randomness")
         self._merge_cells(other)
         for w, cnt in other._weight_counts.items():

@@ -21,7 +21,6 @@ from .core import (
     MODE_DYNAMIC,
     MODE_INSERT_ONLY,
     Stream,
-    StreamElement,
     delete,
     edge_at_index,
     insert,
@@ -60,6 +59,12 @@ def gen_random_stream(
     if mode == MODE_INSERT_ONLY:
         elements = tuple(insert(e.u, e.v, e.wt) for e in pending)
         return Stream(n, k, mode, elements)
+    return interleave_deletes(n, k, pending, deletes, rng)
+
+
+def interleave_deletes(n: int, k: int, pending, deletes: int, rng) -> Stream:
+    """A dynamic stream that inserts the edges of `pending` in order
+    and interleaves `deletes` deletions of live edges, drawn from rng."""
     elements = []
     live = []
     i_rem, d_rem = len(pending), deletes

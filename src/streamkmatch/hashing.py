@@ -128,26 +128,3 @@ def distinguishes(s: HashScheme, subset: Sequence[int]) -> bool:
             return False
     return True
 
-
-def scheme_to_text(s: HashScheme) -> str:
-    """Deterministic round-trip serialization (decimal integers)."""
-    lines = [
-        f"{s.k} {s.universe_size} {s.d1} {s.d2} {s.d3} {s.d4} {FIELD_PRIME}",
-        " ".join(str(c) for c in s.f.coeffs),
-    ]
-    for h in s.level2:
-        lines.append(f"{h.a} {h.b}")
-    return "\n".join(lines) + "\n"
-
-
-def scheme_from_text(text: str) -> HashScheme:
-    lines = text.strip().splitlines()
-    k, usize, d1, d2, d3, d4, p = (int(t) for t in lines[0].split())
-    if p != FIELD_PRIME:
-        raise InvalidParameter(f"unsupported field prime {p}")
-    f = KWiseHash(tuple(int(t) for t in lines[1].split()), d1)
-    level2 = tuple(
-        UniversalHash(int(a), int(b), d3)
-        for a, b in (line.split() for line in lines[2 : 2 + d2])
-    )
-    return HashScheme(k, usize, d1, d2, d3, d4, f, level2)

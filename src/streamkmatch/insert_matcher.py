@@ -101,7 +101,7 @@ class InsertMatcher:
                 sketch = red.kept
                 stored -= 2 * len(red.carry) + len(red.edges)
             stored += 2 * len(sketch) + len(segment)
-            self.reducers[idx] = ReducerState(segment, f, self.k, self.budget, sketch)
+            self.reducers[idx] = ReducerState(segment, f, self.k, sketch)
         self.stored_edges = stored
 
     def stats(self) -> dict:

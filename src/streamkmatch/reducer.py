@@ -3,13 +3,13 @@
 Given a hash f from vertices into r = 4k^2 buckets, the reduced
 subgraph of a set of edges is built in four phases:
 
-  * BucketFilter: drop edges whose endpoints share a bucket;
-  * PairDedup: keep, for each unordered bucket pair, only the heaviest
+  * drop edges whose endpoints share a bucket;
+  * keep, for each unordered bucket pair, only the heaviest
     edge running between the two buckets (the compact subgraph);
-  * TopPerBucket: per bucket, keep only edges among the 2k heaviest
+  * per bucket, keep only edges among the 2k heaviest
     incident to that bucket (an edge must survive via both endpoint
     buckets);
-  * GlobalTop: keep only the 4k^2 heaviest edges overall.
+  * keep only the 4k^2 heaviest edges overall.
 
 The reduced subgraph has at most 4k^2 edges and preserves the best
 k-matching whose vertices all land in distinct buckets.
@@ -62,54 +62,38 @@ class ReducerState:
 
     `edges` is a sequence that must not change before the reduction is
     done; `carry` is the `kept` list of an earlier reduction under the
-    same f.  phase walks BucketFilter -> PairDedup -> TopPerBucket ->
-    GlobalTop -> Done; `kept` and `output` are set once phase == "Done".
-    step() spends at most the configured number of units and is a no-op
-    after completion.
+    same f.  `done` turns true when the machine returns; `kept` and
+    `output` are set from then on.
     """
 
-    def __init__(self, edges, f: UniversalHash, k: int, budget_per_step: int, carry=()):
-        if budget_per_step < 1:
-            raise InvalidParameter("budget_per_step must be >= 1")
+    def __init__(self, edges, f: UniversalHash, k: int, carry=()):
         self.edges = edges
         self.carry = carry
         self.f = f
         self.k = k
-        self.budget = budget_per_step
-        self.phase = "BucketFilter"
+        self.done = False
         self.kept = None
-        self.steps_total = 0
         self._gen = self._run()
         next(self._gen)  # to the first budget request; no work done yet
-
-    @property
-    def done(self) -> bool:
-        return self.phase == "Done"
 
     @property
     def output(self):
         """The reduced subgraph's edges (None until done)."""
         return None if self.kept is None else [x[4] for x in self.kept]
 
-    def step(self) -> int:
-        """Spend up to budget units; returns units spent."""
-        return self.step_upto(self.budget)
-
     def step_upto(self, limit: int) -> int:
-        if self.phase == "Done":
+        """Spend up to limit units; returns units spent (0 once done)."""
+        if self.done:
             return 0
         try:
             self._gen.send(limit)
         except StopIteration as stop:
-            self.phase = "Done"
-            spent = limit - stop.value
-        else:
-            spent = limit
-        self.steps_total += spent
-        return spent
+            self.done = True
+            return limit - stop.value
+        return limit
 
     def run_to_completion(self) -> list:
-        while self.phase != "Done":
+        while not self.done:
             self.step_upto(1 << 30)
         return self.output
 
@@ -140,7 +124,6 @@ class ReducerState:
         budget = yield from walk(len(edges), budget, bucketed)
 
         # phase 2: heaviest entry per bucket pair
-        self.phase = "PairDedup"
         best = {}
 
         def dedup(pos, end):
@@ -153,7 +136,6 @@ class ReducerState:
 
         # phase 3: per bucket, keep only the 2k heaviest incident
         # entries; an entry survives iff kept by both of its buckets
-        self.phase = "TopPerBucket"
         buckets = defaultdict(list)
         pairs = iter(best.values())
 
@@ -188,7 +170,6 @@ class ReducerState:
         budget = yield from walk(len(best), budget, survive)
 
         # phase 4: keep the 4k^2 heaviest overall
-        self.phase = "GlobalTop"
         self.kept, budget = yield from top_t_steps(survivors, cap_global, budget)
         return budget
 
@@ -196,4 +177,4 @@ class ReducerState:
 def reduce(edges, f: UniversalHash, k: int, carry=()) -> list:
     """Reduced subgraph of carry (kept entries of an earlier reduction
     under f) and edges, computed in one go."""
-    return ReducerState(list(edges), f, k, 1, carry).run_to_completion()
+    return ReducerState(list(edges), f, k, carry).run_to_completion()

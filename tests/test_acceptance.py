@@ -39,9 +39,10 @@ def test_criterion_1_mismatches_never_change_the_answer():
     # the salvageable (and load-bearing) half of check 1: at every
     # boundary the incremental sketch and the definitional reduction
     # agree on the best k-matching, even when their edge sets differ
-    ok, detail = acceptance.criterion_1()
-    assert not ok  # documented structural failure
-    assert "(0 affected the sketch answer)" in detail
+    result = acceptance.run_criterion(1)
+    assert not result.ok  # documented structural failure
+    assert "(0 affected the sketch answer)" in result.detail
+    assert result.seconds < 30.0
 
 
 def test_criterion_2_insert_only_end_to_end():
@@ -57,7 +58,7 @@ def test_criterion_4_insert_only_space():
 
 
 def test_criterion_5_scheme_distinguishing():
-    _run(5)
+    assert _run(5).seconds < 30.0
 
 
 def test_criterion_6_sampler_contract():
@@ -79,12 +80,3 @@ def test_criterion_9_solver_self_consistency():
 def test_criterion_10_adversarial_generators():
     _run(10)
 
-
-def test_runtime_limits():
-    # the fast checks also have stated runtime ceilings
-    import time
-
-    for number, limit in ((1, 30.0), (5, 30.0)):
-        start = time.perf_counter()
-        acceptance.run_criterion(number)
-        assert time.perf_counter() - start < limit

@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from streamkmatch import InsertMatcher, core, read_stream
+from streamkmatch import InsertMatcher, cli, read_stream
 from streamkmatch.cli import build_parser, main
 
 
@@ -169,8 +169,8 @@ class TestRun:
 
     def test_oracle_replays_the_stream_once(self, dyn_stream, monkeypatch):
         calls = []
-        replay = core._replay
-        monkeypatch.setattr(core, "_replay",
+        replay = cli.materialize
+        monkeypatch.setattr(cli, "materialize",
                             lambda *a: calls.append(1) or replay(*a))
         code, _ = run_cli("oracle", dyn_stream)
         assert code == 0 and len(calls) == 1

@@ -1,5 +1,6 @@
 """Stream generators and the independent bipartite-matching oracle."""
 
+import hashlib
 import math
 import random
 
@@ -17,8 +18,9 @@ from streamkmatch import (
     gen_random_stream,
     materialize,
     max_weight_k_matching,
-    validate_stream,
+    stream_to_text,
 )
+from streamkmatch.acceptance import _log_uniform_dynamic_stream
 
 
 class TestRandomStream:
@@ -32,15 +34,13 @@ class TestRandomStream:
         s = gen_random_stream(20, 2, 50, seed=1)
         assert s.mode == MODE_INSERT_ONLY and s.n == 20 and s.k == 2
         assert len(s.elements) == 50
-        assert validate_stream(s.elements, 20).ok
-        assert len(materialize(s.elements)) == 50  # all edges distinct
+        assert len(materialize(s.elements, 20)) == 50  # all edges distinct
 
     def test_dynamic_interleaves_valid_deletes(self):
         s = gen_random_stream(20, 2, 50, seed=2, mode="dyn", deletes=20)
         assert s.mode == MODE_DYNAMIC
         assert len(s.elements) == 70
-        assert validate_stream(s.elements, 20).ok
-        assert len(materialize(s.elements)) == 30
+        assert len(materialize(s.elements, 20)) == 30
 
     def test_weight_range_respected(self):
         s = gen_random_stream(15, 1, 40, seed=3, weight_min=5, weight_max=6)
@@ -57,6 +57,32 @@ class TestRandomStream:
             gen_random_stream(5, 1, 4, seed=1, mode="nope")
         with pytest.raises(InvalidParameter):
             gen_random_stream(5, 1, 4, seed=1, weight_min=9, weight_max=1)
+
+
+def _digest(stream):
+    return hashlib.sha256(stream_to_text(stream).encode()).hexdigest()
+
+
+class TestInterleavedDeletes:
+    """Both dynamic families draw their deletes through one loop; these
+    digests pin the exact streams it emits for fixed seeds."""
+
+    @pytest.mark.parametrize("n, k, edges, seed, deletes, digest", [
+        (20, 2, 60, 1, 20, "e40f8ca562c92d1fcfa29dd66fc216487266a0c58742bd9fdd8f967e409cbc5c"),
+        (40, 3, 150, 7, 50, "623012f2a995d4119bb0368d5f311d0748fe441b030bf3ab5f8bcab7138b1c1c"),
+        (12, 2, 30, 99, 30, "f94a0b12e3bc5f01a6e191ad59262436cfa1aa1ff73176834c1c9be72e16bd74"),
+    ])
+    def test_random_dynamic_streams_pinned(self, n, k, edges, seed, deletes, digest):
+        s = gen_random_stream(n, k, edges, seed=seed, mode="dyn", deletes=deletes)
+        assert _digest(s) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (81_000, "a765b636106ee6337050939e7a1b64bbcb45122331f1f07e1262db6ebb770f3b"),
+        (81_099, "f62d1a796ae0280de8f00b75eecfde586f637fc14cd023f997195d9fce7999cd"),
+        (81_199, "ab640a2db4ebe1723d51fa95a8846a617a55f89f689ffab837f249faa12075fa"),
+    ])
+    def test_criterion_8_streams_pinned(self, seed, digest):
+        assert _digest(_log_uniform_dynamic_stream(40, 150, 50, seed)) == digest
 
 
 class TestIndexHard:
@@ -98,7 +124,7 @@ class TestIndexHard:
 
     def test_custom_n_and_validation(self):
         s = gen_index_hard(4, "1010", 1, n=12)
-        assert s.n == 12 and validate_stream(s.elements, 12).ok
+        assert s.n == 12 and materialize(s.elements, 12)
         with pytest.raises(InvalidParameter):
             gen_index_hard(4, "1010", 1, n=9)  # below 4*k1 + 2
         with pytest.raises(InvalidParameter):

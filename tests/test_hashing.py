@@ -16,8 +16,6 @@ from streamkmatch import (
     random_universal,
     scheme_dimensions,
     scheme_eval,
-    scheme_from_text,
-    scheme_to_text,
 )
 
 
@@ -178,24 +176,6 @@ class TestHashScheme:
         s = build_hash_scheme(100, 2, random.Random(8))
         assert distinguishes(s, [])
         assert distinguishes(s, [42])
-
-    def test_serialization_round_trip(self):
-        s = build_hash_scheme(777, 5, random.Random(9))
-        text = scheme_to_text(s)
-        again = scheme_from_text(text)
-        assert again == s
-        assert scheme_to_text(again) == text
-        for x in range(0, 777, 31):
-            assert scheme_eval(again, x) == scheme_eval(s, x)
-
-    def test_serialization_rejects_foreign_prime(self):
-        s = build_hash_scheme(100, 2, random.Random(10))
-        text = scheme_to_text(s).splitlines()
-        parts = text[0].split()
-        parts[-1] = "101"
-        text[0] = " ".join(parts)
-        with pytest.raises(InvalidParameter):
-            scheme_from_text("\n".join(text))
 
     def test_distinguishing_frequency(self):
         # with k=8 the failure probability is ~ 4/(k^3 ln k); a modest

@@ -156,8 +156,8 @@ class TestReducerState:
         k = 3
         f = new_vertex_partition(k, rng)
         edges = _random_edges(rng, 40, 200)
-        state = ReducerState(edges, f, k, 1 << 30)
-        state.step()
+        state = ReducerState(edges, f, k)
+        state.step_upto(1 << 30)
         assert state.done
         assert set(state.output) == set(reduce(edges, f, k))
 
@@ -167,32 +167,17 @@ class TestReducerState:
             k = rng.randint(1, 4)
             f = new_vertex_partition(k, rng)
             edges = _random_edges(rng, rng.randint(5, 50), rng.randint(0, 200))
-            state = ReducerState(edges, f, k, rng.randint(1, 9))
+            budget = rng.randint(1, 9)
+            state = ReducerState(edges, f, k)
             while not state.done:
-                state.step()
+                state.step_upto(budget)
             assert set(state.output) == set(reduce(edges, f, k))
 
     def test_step_is_noop_after_done(self):
         f = new_vertex_partition(1, random.Random(10))
-        state = ReducerState([Edge(0, 1, 5)], f, 1, 100)
+        state = ReducerState([Edge(0, 1, 5)], f, 1)
         state.run_to_completion()
-        assert state.step() == 0
-
-    def test_phase_progression(self):
-        rng = random.Random(11)
-        f = new_vertex_partition(2, rng)
-        edges = _random_edges(rng, 30, 120)
-        state = ReducerState(edges, f, 2, 1)
-        phases = [state.phase]
-        while not state.done:
-            state.step()
-            if state.phase != phases[-1]:
-                phases.append(state.phase)
-        assert phases[0] == "BucketFilter"
-        assert phases[-1] == "Done"
-        assert phases == [p for p in (
-            "BucketFilter", "PairDedup", "TopPerBucket", "GlobalTop", "Done"
-        ) if p in phases]
+        assert state.step_upto(100) == 0
 
     def test_total_steps_within_calibrated_constant(self):
         # the per-arrival budget relies on: total micro-steps for m edges
@@ -204,12 +189,14 @@ class TestReducerState:
             n = rng.randint(5, 60)
             m = rng.randint(0, min(12 * k * k, n * (n - 1) // 2))
             edges = _random_edges(rng, n, m)
-            state = ReducerState(edges, f, k, 1)
-            state.run_to_completion()
-            assert state.steps_total <= C_RED * (m + k * k)
+            state = ReducerState(edges, f, k)
+            total = 0
+            while not state.done:
+                total += state.step_upto(1 << 30)
+            assert total <= C_RED * (m + k * k)
 
     def test_interleaved_stepping_fits_one_segment(self):
-        # one step() call per arrival, budget sized as the insert matcher
+        # one step_upto call per arrival, budget sized as the insert matcher
         # sizes it: the reduction of a (sketch + segment)-sized input must
         # finish within 4k^2 arrivals
         from streamkmatch.insert_matcher import step_budget
@@ -220,18 +207,13 @@ class TestReducerState:
             per_reducer = budget // 2
             f = new_vertex_partition(k, rng)
             edges = _random_edges(rng, 8 * k + 8, min(12 * k * k, 120))
-            state = ReducerState(edges, f, k, per_reducer)
+            state = ReducerState(edges, f, k)
             arrivals = 0
             while not state.done:
-                state.step()
+                state.step_upto(per_reducer)
                 arrivals += 1
                 assert arrivals <= 4 * k * k
             assert set(state.output) == set(reduce(edges, f, k))
-
-    def test_rejects_bad_budget(self):
-        f = new_vertex_partition(1, random.Random(14))
-        with pytest.raises(InvalidParameter):
-            ReducerState([], f, 1, 0)
 
 
 class _Identity:
@@ -261,17 +243,20 @@ class TestSameAccounting:
 
     def _assert_same(self, rng, edges, f, k, carry=None):
         if carry is None:
-            ours = ReducerState(edges, f, k, 1)
+            ours = ReducerState(edges, f, k)
             ref = ReferenceReducer(edges, f, k)
         else:
-            ours = ReducerState(edges, f, k, 1, carry.kept)
+            ours = ReducerState(edges, f, k, carry.kept)
             ref = ReferenceReducer(carry.output + edges, f, k)
+        total = 0
         while not (ours.done and ref.finished):
             limit = rng.randint(1, 40)
-            assert ours.step_upto(limit) == ref.step_upto(limit)
-        assert ours.steps_total == ref.steps_total
+            spent = ours.step_upto(limit)
+            assert spent == ref.step_upto(limit)
+            total += spent
+        assert total == ref.steps_total
         assert ours.output == ref.output
-        return ours
+        return ours, total
 
     def test_random_inputs_every_k_and_tie_level(self):
         rng = random.Random(15)
@@ -287,7 +272,7 @@ class TestSameAccounting:
         rng = random.Random(16)
         one_bucket = type("F", (), {"r": 4, "__call__": lambda s, x: 0})()
         edges = _random_multigraph(rng, 20, 50, [1, 2])
-        ours = self._assert_same(rng, edges, one_bucket, 1)
+        ours, _ = self._assert_same(rng, edges, one_bucket, 1)
         assert ours.output == []
         two_buckets = type("F", (), {"r": 16, "__call__": lambda s, x: x % 2})()
         for k in (1, 2, 3, 4):
@@ -307,8 +292,8 @@ class TestSameAccounting:
     def test_empty_input(self):
         rng = random.Random(18)
         f = new_vertex_partition(2, rng)
-        ours = self._assert_same(rng, [], f, 2)
-        assert ours.steps_total == 0
+        _, total = self._assert_same(rng, [], f, 2)
+        assert total == 0
 
     def test_carried_sketch_matches_a_copied_input(self):
         # a reduction that takes the last one's kept entries, without
@@ -320,8 +305,8 @@ class TestSameAccounting:
             f = new_vertex_partition(k, rng)
             n = rng.randint(4, 60)
             weights = ([1, 2], list(range(1, 1000)))[trial % 2]
-            red = ReducerState(_random_multigraph(rng, n, 4 * k * k, weights), f, k, 1)
+            red = ReducerState(_random_multigraph(rng, n, 4 * k * k, weights), f, k)
             red.run_to_completion()
             for _ in range(3):
                 segment = _random_multigraph(rng, n, 4 * k * k, weights)
-                red = self._assert_same(rng, segment, f, k, carry=red)
+                red, _ = self._assert_same(rng, segment, f, k, carry=red)
