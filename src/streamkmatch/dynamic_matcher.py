@@ -30,19 +30,20 @@ it has taken (its level-0 suffix in every repetition), dropped at zero;
 the count is its low field.  While every update a sampler has taken
 carries one index, it stores only the top cell and that index: each
 repetition would hold that one cell at the index's level, so decoding
-the top cell runs the checks repetition 0 runs, on the same sum.
-Whether a sampler holds one index is known exactly, with no
-fingerprint test.  The first update with a second index makes it full:
-the top cell is spread to the held index's levels, and from then on
-every update also reaches the per-repetition cells of its index's
-levels.  A full sampler stays full until its top cell is zero.  A full
-sampler whose top cell sums to zero while its cells do not has net
-multiplicities whose fingerprint sum vanishes at z: the same
-<= universe/q event the decoder already accepts as a false decode.
-The stored state depends on order (+a, +b, -b leaves a full sampler;
-+a merged with +b, -b leaves a one-index one), the decode does not;
-dense_cells() is the order-free view, every sampler spread to its
-levels.
+the top cell runs the checks repetition 0 runs, on the same sum.  Its
+decode is a function of the top cell alone, so a query decodes each
+distinct one-index top cell once.  Whether a sampler holds one index
+is known exactly, with no fingerprint test.  The first update with a
+second index makes it full: the top cell is spread to the held index's
+levels, and from then on every update also reaches the per-repetition
+cells of its index's levels.  A full sampler stays full until its top
+cell is zero.  A full sampler whose top cell sums to zero while its
+cells do not has net multiplicities whose fingerprint sum vanishes at
+z: the same <= universe/q event the decoder already accepts as a false
+decode.  The stored state depends on order (+a, +b, -b leaves a full
+sampler; +a merged with +b, -b leaves a one-index one), the decode
+does not; dense_cells() is the order-free view, every sampler spread
+to its levels.
 
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
@@ -80,13 +81,29 @@ def default_delta(k: int) -> float:
 
 
 def round_weight(w, epsilon: float) -> int:
-    """The integer t with (1+eps)^(t-1) < w <= (1+eps)^t, exactly."""
+    """The integer t with (1+eps)^(t-1) < w <= (1+eps)^t, exactly.
+
+    t is ceil(x) for x = log(w) / log1p(eps), and floats give x to
+    within a few units of 1e-16 * (|x| + 1/log1p(eps)): log(w) is off
+    by about 1e-16 * (1 + |log w|) and the division adds a rounding.
+    When x lies farther than 1e-9 * max(|x|, 1/log1p(eps)) from every
+    integer (about a million times that error), the true x lies
+    strictly between the same two integers, so ceil(x) is exact.
+    Otherwise w is at or next to a power of (1+eps), and t is walked
+    out with exact Fraction powers; at eps = 0.1 and w near 10^6 each
+    power is an 8 000-bit number, which is why it is not the default.
+    """
     if w <= 0:
         raise InvalidParameter("weight must be positive for rounding")
     if not (0 < epsilon < 1):
         raise InvalidParameter("epsilon must lie in (0, 1)")
+    lg = math.log1p(epsilon)
+    x = math.log(w) / lg
+    t = math.ceil(x)
+    margin = 1e-9 * max(abs(x), 1 / lg)
+    if t - x > margin and x - (t - 1) > margin:
+        return t
     base = Fraction(1) + Fraction(epsilon)
-    t = math.ceil(math.log(w) / math.log1p(epsilon))
     fw = Fraction(w)
     while base ** t < fw:
         t += 1
@@ -243,18 +260,9 @@ class CellGrid:
                     yield s
 
         zpow = {}  # z^j of the candidates this query has seen
-        found = []
-        fails = 0
-        for base, top in self.tops.items():
-            if not top & c0_mask:
-                continue  # count zero
-            if base in held:
-                # every repetition meets this one sum at the index's level
-                walks = ((top,),)
-            else:
-                kb = base << shift
-                walks = (suffixes(kb | (rep << lev_bits)) for rep in reps)
-            got = None
+
+        def first_decode(walks):
+            """The first suffix that decodes, trying walks in order."""
             for walk in walks:
                 for s in walk:
                     # unsigned reads: a decodable suffix has 0 < c0 < 2^63, c1 >= 0
@@ -276,10 +284,25 @@ class CellGrid:
                     if (fp - c0 * zj) % q == 0:
                         c2 = (rest - fp) >> _FP_BITS
                         if c2 % c0 == 0:
-                            got = (j, c0, c2 // c0)
+                            return j, c0, c2 // c0
                         break
-                if got is not None:
-                    break
+            return None
+
+        decoded = {}  # one-index top cell -> its decode, None for a fail
+        found = []
+        fails = 0
+        for base, top in self.tops.items():
+            if not top & c0_mask:
+                continue  # count zero
+            if base in held:
+                # every repetition meets this one sum at the index's level
+                if top in decoded:
+                    got = decoded[top]
+                else:
+                    got = decoded[top] = first_decode(((top,),))
+            else:
+                kb = base << shift
+                got = first_decode(suffixes(kb | (rep << lev_bits)) for rep in reps)
             if got is None:
                 fails += 1
             else:
@@ -452,29 +475,37 @@ class DynamicMatcher(CellGrid):
     def distinct_live_weights(self) -> int:
         return len(self._weight_counts)
 
+    def _sampler_stats(self):
+        """(weight keys, live samplers, negative samplers) from one pass
+        over the top cells."""
+        live = self._live_counts()
+        d4 = self.scheme.d4
+        keys = len({base // (d4 * d4) for base in live})
+        return keys, len(live), sum(c < 0 for c in live.values())
+
     @property
     def distinct_weight_keys(self) -> int:
         """Weight keys of the live samplers (key -1 is weight 0)."""
-        d4 = self.scheme.d4
-        return len({base // (d4 * d4) for base in self._live_counts()})
+        return self._sampler_stats()[0]
 
     @property
     def live_sampler_count(self) -> int:
-        return len(self._live_counts())
+        return self._sampler_stats()[1]
 
     @property
     def negative_samplers(self) -> int:
         """Samplers whose net count is below zero: more deletes than
         inserts reached them, so the stream deleted an absent edge."""
-        return sum(c < 0 for c in self._live_counts().values())
+        return self._sampler_stats()[2]
 
     def stats(self) -> dict:
+        keys, live, negative = self._sampler_stats()
         return {
             "updates": self.updates,
             "distinct_live_weights": self.distinct_live_weights,
-            "distinct_weight_keys": self.distinct_weight_keys,
-            "live_samplers": self.live_sampler_count,
-            "negative_samplers": self.negative_samplers,
+            "distinct_weight_keys": keys,
+            "live_samplers": live,
+            "negative_samplers": negative,
             "cells": len(self.cells),
             "keys_touched_last": self.last_keys_touched,
             "fail_count_last_query": self.last_fail_count,

@@ -85,6 +85,8 @@ class ReducerState:
         """Spend up to limit units; returns units spent (0 once done)."""
         if self.done:
             return 0
+        if limit < 0:
+            raise InvalidParameter(f"budget {limit} must be >= 0")
         try:
             self._gen.send(limit)
         except StopIteration as stop:

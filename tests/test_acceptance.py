@@ -15,10 +15,19 @@ import pytest
 from streamkmatch import acceptance
 
 
-def _run(number):
-    result = acceptance.run_criterion(number)
+def _check(number, result):
     assert result.ok, f"criterion {number} ({result.name}): {result.detail}"
     return result
+
+
+def _run(number):
+    return _check(number, acceptance.run_criterion(number))
+
+
+@pytest.fixture(scope="module")
+def criterion_1():
+    # both check-1 tests read one run on the same seeds
+    return acceptance.run_criterion(1)
 
 
 @pytest.mark.xfail(
@@ -31,15 +40,15 @@ def _run(number):
         "left the sketch's best k-matching unchanged"
     ),
 )
-def test_criterion_1_sketch_equivalence():
-    _run(1)
+def test_criterion_1_sketch_equivalence(criterion_1):
+    _check(1, criterion_1)
 
 
-def test_criterion_1_mismatches_never_change_the_answer():
+def test_criterion_1_mismatches_never_change_the_answer(criterion_1):
     # the salvageable (and load-bearing) half of check 1: at every
     # boundary the incremental sketch and the definitional reduction
     # agree on the best k-matching, even when their edge sets differ
-    result = acceptance.run_criterion(1)
+    result = criterion_1
     assert not result.ok  # documented structural failure
     assert "(0 affected the sketch answer)" in result.detail
     assert result.seconds < 30.0

@@ -1,5 +1,6 @@
 """Fully dynamic matcher: exact mode, approximation mode, merging."""
 
+import functools
 import gc
 import math
 import random
@@ -98,6 +99,49 @@ class TestRoundWeight:
             round_weight(0, 0.5)
         with pytest.raises(InvalidParameter):
             round_weight(5, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _power(epsilon, t):
+    return (Fraction(1) + Fraction(epsilon)) ** t
+
+
+def _walk_round(w, epsilon):
+    """The reference rounding: start at the float estimate and step t
+    with exact Fraction powers until (1+eps)^(t-1) < w <= (1+eps)^t.
+    Powers are cached across calls."""
+    t = math.ceil(math.log(w) / math.log1p(epsilon))
+    fw = Fraction(w)
+    while _power(epsilon, t) < fw:
+        t += 1
+    while _power(epsilon, t - 1) >= fw:
+        t -= 1
+    return t
+
+
+ROUNDING_EPSILONS = (0.5, 0.25, 0.1, 1 / 16, 0.01)
+
+
+class TestRoundWeightMatchesExactWalk:
+    @pytest.mark.parametrize("eps", ROUNDING_EPSILONS)
+    def test_every_small_integer(self, eps):
+        for w in range(1, 20_001):
+            assert round_weight(w, eps) == _walk_round(w, eps), w
+
+    @pytest.mark.parametrize("eps", ROUNDING_EPSILONS)
+    def test_at_and_next_to_powers(self, eps):
+        nudge = Fraction(1, 10**9)
+        for t in range(-20, 61):
+            p = _power(eps, t)
+            for w in (p - nudge, p, p + nudge):
+                assert round_weight(w, eps) == _walk_round(w, eps), (t, w)
+            assert round_weight(p, eps) == t
+
+    @pytest.mark.parametrize("eps", ROUNDING_EPSILONS)
+    def test_large_integers(self, eps):
+        for big in (1 << 70, 10**30):
+            for w in (big - 1, big, big + 1):
+                assert round_weight(w, eps) == _walk_round(w, eps), w
 
 
 class TestExactMode:
@@ -316,6 +360,45 @@ class TestSparseSamplers:
         assert len(m.tops) == 20 * m.scheme.d2 ** 2
         assert len(m.cells) == 0
         assert len(m.dense_cells()) == len(m.tops) * m.reps
+
+
+class TestDecodeFailures:
+    # a fail counts once per sampler, also when samplers share a top cell
+
+    def test_every_sampler_of_a_doubled_edge_fails(self):
+        # 4 and 5 share weight key 4 at eps = 0.5: each of the edge's 144
+        # samplers holds c0 = 2 and payload sum 9, which does not divide
+        m = DynamicMatcher(30, 2, random.Random(5), epsilon=0.5)
+        m.process_update(insert(0, 1, 5))
+        m.process_update(insert(0, 1, 4))
+        assert len(set(m.tops.values())) == 1
+        assert m.query() is NO_K_MATCHING
+        assert m.last_fail_count == 144
+        assert m.stats()["fail_count_last_query"] == 144
+
+    def test_full_and_one_index_samplers_in_one_query(self):
+        # 1 and 5 share a hash value, so six samplers hold two edges;
+        # the 36 samplers of the doubled edge (2, 3) fail
+        m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.5)
+        for el in (insert(0, 1, 5), insert(0, 5, 5), insert(2, 3, 5),
+                   insert(2, 3, 4), insert(6, 7, 3)):
+            m.process_update(el)
+        assert len(set(m.tops) - set(m._held)) == 6
+        assert len(m._held) == 132
+        assert m.query().edges == (Edge(0, 1, 5),)
+        assert m.last_fail_count == 36
+
+
+class TestSamplerStats:
+    def test_stats_equal_the_properties_after_a_phantom_delete(self):
+        m = DynamicMatcher(20, 2, random.Random(9))
+        m.process_update(insert(0, 1, 5))
+        m.process_update(delete(2, 3, 7))  # never inserted
+        m.process_update(insert(4, 5, 6))
+        stats = m.stats()
+        assert stats["distinct_weight_keys"] == m.distinct_weight_keys == 3
+        assert stats["live_samplers"] == m.live_sampler_count == 432
+        assert stats["negative_samplers"] == m.negative_samplers == 144
 
 
 class TestApproximation:

@@ -179,6 +179,19 @@ class TestReducerState:
         state.run_to_completion()
         assert state.step_upto(100) == 0
 
+    def test_negative_budget_rejected(self):
+        # a negative limit once came back as units spent, and the walk
+        # then bucketed some edges twice
+        rng = random.Random(11)
+        f = new_vertex_partition(2, rng)
+        edges = _random_edges(rng, 12, 15)
+        state = ReducerState(edges, f, 2)
+        with pytest.raises(InvalidParameter):
+            state.step_upto(-3)
+        assert not state.done
+        assert set(state.run_to_completion()) == set(reduce(edges, f, 2))
+        assert state.step_upto(-3) == 0  # a finished reducer spends nothing
+
     def test_total_steps_within_calibrated_constant(self):
         # the per-arrival budget relies on: total micro-steps for m edges
         # is at most C_RED * (m + k^2)
