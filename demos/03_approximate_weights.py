@@ -46,9 +46,9 @@ truth = max_weight_k_matching(materialize(elements), K)
 got = approx.query()
 
 print()
-print(f"{EDGES} edges, {exact.distinct_live_weights} distinct live weights")
-print(f"exact grid keys:  {exact.distinct_weight_keys}")
-print(f"approx grid keys: {approx.distinct_weight_keys}  (eps={EPS})")
+print(f"{EDGES} edges, {len({el.edge.wt for el in elements})} distinct live weights")
+print(f"exact grid keys:  {exact.stats()['distinct_weight_keys']}")
+print(f"approx grid keys: {approx.stats()['distinct_weight_keys']}  (eps={EPS})")
 if got is not NO_K_MATCHING:
     print(f"approx answer {got.weight} vs optimal {truth.weight} "
           f"(ratio {got.weight / truth.weight:.3f}, guarantee >= {1 - EPS})")

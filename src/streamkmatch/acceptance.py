@@ -284,7 +284,7 @@ def criterion_8():
         matcher = DynamicMatcher(40, 2, random.Random(seed * 5 + 2), epsilon=eps)
         for el in stream.elements:
             matcher.process_update(el)
-        max_keys = max(max_keys, matcher.distinct_weight_keys)
+        max_keys = max(max_keys, matcher.stats()["distinct_weight_keys"])
         answer = matcher.query()
         truth = max_weight_k_matching(materialize(stream.elements), 2)
         if truth is NO_K_MATCHING:

@@ -26,24 +26,23 @@ grids with the same randomness merge cell-wise, and a cell is zero
 exactly when all its sums are.
 
 Storage rule.  Each sampler keeps a top cell, the sum of every update
-it has taken (its level-0 suffix in every repetition), dropped at zero;
-the count is its low field.  While every update a sampler has taken
-carries one index, it stores only the top cell and that index: each
+it has taken (its level-0 suffix in every repetition), dropped at zero.
+While its updates all carry one index and its count is not zero, that
+cell is all it stores: its index sum is exactly count * index, and each
 repetition would hold that one cell at the index's level, so decoding
-the top cell runs the checks repetition 0 runs, on the same sum.  Its
-decode is a function of the top cell alone, so a query decodes each
-distinct one-index top cell once.  Whether a sampler holds one index
-is known exactly, with no fingerprint test.  The first update with a
-second index makes it full: the top cell is spread to the held index's
-levels, and from then on every update also reaches the per-repetition
-cells of its index's levels.  A full sampler stays full until its top
-cell is zero.  A full sampler whose top cell sums to zero while its
-cells do not has net multiplicities whose fingerprint sum vanishes at
-z: the same <= universe/q event the decoder already accepts as a false
-decode.  The stored state depends on order (+a, +b, -b leaves a full
-sampler; +a merged with +b, -b leaves a one-index one), the decode
-does not; dense_cells() is the order-free view, every sampler spread
-to its levels.
+it runs the checks repetition 0 runs, once per distinct top cell a
+query meets.  An update with a second index makes the sampler full: the
+top cell is spread to its index's levels, and every later update also
+reaches the per-repetition cells of its index's levels.  So does an
+update that zeroes the count but not the cell (approximation mode: a
+delete whose weight differs from its insert's but rounds to the same
+key), while the index can still be read.  A full sampler stays full
+until its top cell is zero; its cells are then zero too unless its net
+multiplicities have a fingerprint sum vanishing at z, the same
+<= universe/q event the decoder accepts as a false decode.  The stored
+state depends on order (+a, +b, -b leaves a full sampler; +a merged
+with +b, -b leaves a one-index one), the decode does not; dense_cells()
+is the order-free view, every sampler spread to its levels.
 
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
@@ -122,6 +121,7 @@ class Sample(NamedTuple):
 
 
 _C0_BITS = 64   # count field width
+_C0_MASK = (1 << _C0_BITS) - 1
 _FP_BITS = 125  # fingerprint field: under 2^63 terms, each below 2^61
 
 
@@ -146,10 +146,11 @@ class CellGrid:
 
     A sampler is named by an integer base.  `tops` maps each sampler to
     its top cell, the sum of every update it has taken; its count is
-    the low field.  `_held` maps a one-index sampler to its index.  A
-    full sampler keeps its per-repetition cells in `cells`.  Only
-    positive counts decode: a suffix whose count is zero or negative
-    (a delete whose insert has not arrived) is skipped.
+    the low field.  A one-index sampler stores nothing else: its index
+    is its top cell's index sum over its count.  `_full` holds the
+    bases that keep per-repetition cells in `cells`.  Only positive
+    counts decode: a suffix whose count is zero or negative (a delete
+    whose insert has not arrived) is skipped.
     """
 
     def __init__(self, universe: int, delta: float, rng):
@@ -167,9 +168,9 @@ class CellGrid:
             random_kwise(kappa, span, rng) for _ in range(self.reps)
         ]
         self.z = rng.randrange(1, FIELD_PRIME)
-        self.tops = {}    # base -> top cell, zeros dropped
-        self._held = {}   # one-index base -> its index
-        self.cells = {}   # (full base, rep, exact level) packed -> packed sums
+        self.tops = {}      # base -> top cell, zeros dropped
+        self._full = set()  # the bases that keep per-repetition cells
+        self.cells = {}     # (full base, rep, exact level) packed -> packed sums
         # a cell key is (base << _shift) | (rep << _lev_bits) | level
         self._lev_bits = (self.levels - 1).bit_length()
         self._shift = self._lev_bits + (self.reps - 1).bit_length()
@@ -198,38 +199,45 @@ class CellGrid:
         for rl in rls:
             _bump(cells, kb | rl, cell)
 
-    def _make_full(self, base) -> None:
-        """Give a one-index sampler its per-repetition cells."""
-        index = self._held.pop(base, None)
-        if index is not None:
-            self._spread(self.cells, base, self._levels_of(index), self.tops[base])
+    def _index_of(self, top: int) -> int:
+        """The index of a one-index top cell of non-zero count, exactly."""
+        c0, rest = _split(top, _C0_BITS)
+        return _split(rest, self._fp_at - _C0_BITS)[0] // c0
+
+    def _make_full(self, base, top: int) -> None:
+        """Spread a one-index sampler's top cell to its index's levels."""
+        self._spread(self.cells, base, self._levels_of(self._index_of(top)), top)
+        self._full.add(base)
 
     def _add(self, bases, index: int, cell: int) -> None:
         """Add cell, whose updates all carry index, to every sampler in
         bases."""
         tops = self.tops
-        held = self._held
+        full = self._full
         rls = None  # index's levels, needed only by a full sampler
         for base in bases:
             top = tops.get(base)
             if top is None:
                 tops[base] = cell
-                held[base] = index
                 continue
-            one = held.get(base)
-            if one != index:  # full, or full from now on
-                if one is not None:
-                    self._make_full(base)
-                if rls is None:
-                    rls = self._levels_of(index)
-                self._spread(self.cells, base, rls, cell)
-            top += cell
-            if top:
-                tops[base] = top
+            s = top + cell
+            if base not in full:
+                if not s:  # the one index cancels
+                    del tops[base]
+                    continue
+                if s & _C0_MASK and self._index_of(top) == index:
+                    tops[base] = s
+                    continue
+                # a second index, or a count of zero that would lose it
+                self._make_full(base, top)
+            if rls is None:
+                rls = self._levels_of(index)
+            self._spread(self.cells, base, rls, cell)
+            if s:
+                tops[base] = s
             else:
                 del tops[base]
-                if one == index:
-                    del held[base]
+                full.discard(base)
 
     def _decode(self):
         """Query each sampler whose count is not zero once.  Returns the
@@ -239,10 +247,10 @@ class CellGrid:
         z = self.z
         universe = self.universe
         cget = self.cells.get
-        held = self._held
+        full = self._full
         shift = self._shift
         lev_bits = self._lev_bits
-        c0_mask = (1 << _C0_BITS) - 1
+        c0_mask = _C0_MASK
         c0_cap = 1 << (_C0_BITS - 1)
         fp_at = self._fp_at
         c1_mask = (1 << (fp_at - _C0_BITS)) - 1
@@ -294,7 +302,7 @@ class CellGrid:
         for base, top in self.tops.items():
             if not top & c0_mask:
                 continue  # count zero
-            if base in held:
+            if base not in full:
                 # every repetition meets this one sum at the index's level
                 if top in decoded:
                     got = decoded[top]
@@ -317,13 +325,23 @@ class CellGrid:
             or other.z != self.z
         ):
             raise InvalidParameter("grids built with different randomness")
+        tops = self.tops
+        full = self._full
         for base, top in other.tops.items():
-            index = other._held.get(base)
-            if index is not None:
-                self._add((base,), index, top)
-            else:
-                self._make_full(base)
-                _bump(self.tops, base, top)
+            mine = tops.get(base)
+            if base in other._full:
+                if mine is not None and base not in full:
+                    self._make_full(base, mine)
+                full.add(base)
+                _bump(tops, base, top)
+                if base not in tops:
+                    full.discard(base)
+            elif mine is None:
+                tops[base] = top
+            elif base not in full and not mine + top:
+                del tops[base]
+            else:  # a collision
+                self._add((base,), self._index_of(top), top)
         for key, c in other.cells.items():
             _bump(self.cells, key, c)
 
@@ -333,14 +351,10 @@ class CellGrid:
         plus the stored cells.  Grids that took the same updates, in any
         order and over any sharding, have equal dense cells."""
         dense = dict(self.cells)
-        for base, index in self._held.items():
-            self._spread(dense, base, self._levels_of(index), self.tops[base])
+        for base, top in self.tops.items():
+            if base not in self._full:
+                self._spread(dense, base, self._levels_of(self._index_of(top)), top)
         return dense
-
-    def _live_counts(self) -> dict:
-        """base -> count of every sampler whose count is not zero."""
-        return {base: c for base, top in self.tops.items()
-                if (c := _split(top, _C0_BITS)[0])}
 
 
 class L0Sampler(CellGrid):
@@ -393,7 +407,6 @@ class DynamicMatcher(CellGrid):
         if delta is None:
             delta = default_delta(k)
         super().__init__(n * (n - 1) // 2, delta, rng)
-        self._weight_counts = {}   # true weight -> live edge count
         self._live = {} if validate else None
         # instrumentation
         self.updates = 0
@@ -428,7 +441,6 @@ class DynamicMatcher(CellGrid):
         wb = key_w * d4 * d4
         eid = edge_index(u, v, self.n)
         self._add([wb + i * d4 + j for i in hu for j in hv], eid, self._cell(eid, d, w))
-        _bump(self._weight_counts, w, d)
         self.updates += 1
         self.last_keys_touched = len(hu) * len(hv)
 
@@ -446,7 +458,10 @@ class DynamicMatcher(CellGrid):
     # -- query path ----------------------------------------------------
 
     def query(self):
-        sampled = self._sample_edges()
+        # one edge per decoded index, carrying its true weight
+        found, self.last_fail_count = self._decode()
+        weights = {eid: wt for eid, _, wt in found}
+        sampled = [Edge(*edge_at_index(eid, self.n), wt) for eid, wt in weights.items()]
         if self.epsilon is None:
             return max_weight_k_matching(sampled, self.k)
         base = 1.0 + self.epsilon
@@ -462,47 +477,25 @@ class DynamicMatcher(CellGrid):
             Edge(e.u, e.v, true[(e.u, e.v)]) for e in answer.edges
         )
 
-    def _sample_edges(self):
-        """Query every live sampler once; decoded edges carry true weights."""
-        found, self.last_fail_count = self._decode()
-        weights = {eid: wt for eid, _, wt in found}
-        n = self.n
-        return [Edge(*edge_at_index(eid, n), wt) for eid, wt in weights.items()]
-
     # -- bookkeeping ---------------------------------------------------
-
-    @property
-    def distinct_live_weights(self) -> int:
-        return len(self._weight_counts)
 
     def _sampler_stats(self):
         """(weight keys, live samplers, negative samplers) from one pass
-        over the top cells."""
-        live = self._live_counts()
-        d4 = self.scheme.d4
-        keys = len({base // (d4 * d4) for base in live})
-        return keys, len(live), sum(c < 0 for c in live.values())
-
-    @property
-    def distinct_weight_keys(self) -> int:
-        """Weight keys of the live samplers (key -1 is weight 0)."""
-        return self._sampler_stats()[0]
+        over the top cells; key -1 is weight 0, and a negative count
+        means the stream deleted an absent edge."""
+        live = {base: c for base, top in self.tops.items()
+                if (c := _split(top, _C0_BITS)[0])}
+        d4sq = self.scheme.d4 ** 2
+        return len({b // d4sq for b in live}), len(live), sum(c < 0 for c in live.values())
 
     @property
     def live_sampler_count(self) -> int:
         return self._sampler_stats()[1]
 
-    @property
-    def negative_samplers(self) -> int:
-        """Samplers whose net count is below zero: more deletes than
-        inserts reached them, so the stream deleted an absent edge."""
-        return self._sampler_stats()[2]
-
     def stats(self) -> dict:
         keys, live, negative = self._sampler_stats()
         return {
             "updates": self.updates,
-            "distinct_live_weights": self.distinct_live_weights,
             "distinct_weight_keys": keys,
             "live_samplers": live,
             "negative_samplers": negative,
@@ -513,10 +506,16 @@ class DynamicMatcher(CellGrid):
 
     def merge_from(self, other: "DynamicMatcher") -> None:
         """Cell-wise combine of a grid built with identical randomness
-        over a disjoint stream (sharded ingestion)."""
+        over a disjoint stream (sharded ingestion).  A validating grid
+        merges only a validating grid whose live edges are not its own."""
         if other.scheme != self.scheme or other.epsilon != self.epsilon:
             raise InvalidParameter("grids built with different randomness")
+        live = self._live
+        if live is not None and other._live is None:
+            raise InvalidParameter("a validating grid merges only validating grids")
+        if live is not None and (both := live.keys() & other._live.keys()):
+            raise MalformedStream(self.updates, f"duplicate insert of {min(both)}")
         self._merge_cells(other)
-        for w, cnt in other._weight_counts.items():
-            _bump(self._weight_counts, w, cnt)
+        if live is not None:
+            live.update(other._live)
         self.updates += other.updates

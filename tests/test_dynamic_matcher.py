@@ -60,7 +60,7 @@ class TestParameters:
         # same samplers and those store per-repetition cells
         m.process_update(insert(0, 1, 5))
         m.process_update(insert(0, 5, 5))
-        full = set(m.tops) - set(m._held)
+        full = m._full
         assert len(full) == m.scheme.d2
         assert {key >> m._shift for key in m.cells} == full
         rep_mask = (1 << (m._shift - m._lev_bits)) - 1
@@ -210,11 +210,7 @@ class TestExactMode:
         m.process_update(insert(0, 1, 5))
         assert m.updates == 1
         assert m.last_keys_touched == m.scheme.d2 ** 2
-        stats = m.stats()
-        assert stats["updates"] == 1
-        assert stats["distinct_live_weights"] == 1
-        m.process_update(delete(0, 1, 5))
-        assert m.distinct_live_weights == 0
+        assert m.stats()["updates"] == 1
 
 
 class TestValidation:
@@ -274,10 +270,10 @@ class TestMatcherDoor:
             m.process_update(insert(0, 1, w))
             m.process_update(delete(0, 1, w))
         assert not m.cells and not m.tops
-        assert m.distinct_weight_keys == 0  # keys follow the live set
+        assert m.stats()["distinct_weight_keys"] == 0  # keys follow the live set
         m.process_update(insert(0, 1, 5000))
         m.process_update(insert(2, 3, 5000))
-        assert m.distinct_weight_keys == 1
+        assert m.stats()["distinct_weight_keys"] == 1
         assert m.query().edges == (Edge(0, 1, 5000),)
         m.process_update(delete(0, 1, 5000))
         assert m.query().edges == (Edge(2, 3, 5000),)
@@ -305,6 +301,23 @@ class TestMatcherDoor:
 
         every_edge = [(u, v) for u in range(64) for v in range(u + 1, 64)]
         assert held(every_edge) - held([]) < 8 * 1024
+
+    def test_bytes_per_live_edge(self):
+        # a one-index sampler holds its top cell and nothing else
+        pairs = random.Random(52).sample(
+            [(u, v) for u in range(200) for v in range(u + 1, 200)], 300
+        )
+        tracemalloc.start()
+        m = DynamicMatcher(200, 2, random.Random(51))
+        for w, (u, v) in enumerate(pairs):
+            m.process_update(insert(u, v, w % 4))
+        gc.collect()
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*streamkmatch*")]
+        )
+        tracemalloc.stop()
+        held = sum(stat.size for stat in snap.statistics("filename"))
+        assert held / len(pairs) < 11_500
 
 
 class TestCellFormat:
@@ -356,7 +369,7 @@ class TestSparseSamplers:
         )
         for w, (u, v) in enumerate(pairs):
             m.process_update(insert(u, v, w % 4))
-        assert set(m._held) == set(m.tops)
+        assert not m._full
         assert len(m.tops) == 20 * m.scheme.d2 ** 2
         assert len(m.cells) == 0
         assert len(m.dense_cells()) == len(m.tops) * m.reps
@@ -383,8 +396,8 @@ class TestDecodeFailures:
         for el in (insert(0, 1, 5), insert(0, 5, 5), insert(2, 3, 5),
                    insert(2, 3, 4), insert(6, 7, 3)):
             m.process_update(el)
-        assert len(set(m.tops) - set(m._held)) == 6
-        assert len(m._held) == 132
+        assert len(m._full) == 6
+        assert len(set(m.tops) - m._full) == 132
         assert m.query().edges == (Edge(0, 1, 5),)
         assert m.last_fail_count == 36
 
@@ -396,9 +409,9 @@ class TestSamplerStats:
         m.process_update(delete(2, 3, 7))  # never inserted
         m.process_update(insert(4, 5, 6))
         stats = m.stats()
-        assert stats["distinct_weight_keys"] == m.distinct_weight_keys == 3
+        assert stats["distinct_weight_keys"] == 3
         assert stats["live_samplers"] == m.live_sampler_count == 432
-        assert stats["negative_samplers"] == m.negative_samplers == 144
+        assert stats["negative_samplers"] == 144
 
 
 class TestApproximation:
@@ -451,30 +464,27 @@ class TestApproximation:
             if v >= u:
                 v += 1
             m.process_update(insert(min(u, v), max(u, v), rng.randint(1, 10_000)))
-        assert m.distinct_weight_keys <= 43  # log_{1.25}(10^4) + 1
+        assert m.stats()["distinct_weight_keys"] <= 43  # log_{1.25}(10^4) + 1
 
 
 class TestMerge:
-    def _shard_pair(self, seed):
-        whole = DynamicMatcher(20, 2, random.Random(seed))
-        left = DynamicMatcher(20, 2, random.Random(seed))
-        right = DynamicMatcher(20, 2, random.Random(seed))
-        return whole, left, right
-
-    def test_sharded_equals_sequential(self):
+    @pytest.mark.parametrize("epsilon, shards", [(None, 2), (0.25, 3)])
+    def test_sharded_equals_sequential(self, epsilon, shards):
         stream = gen_random_stream(20, 2, 60, seed=30_000, mode="dyn", deletes=20)
-        whole, left, right = self._shard_pair(31_000)
-        half = len(stream.elements) // 2
+        whole, left, *rest = (
+            DynamicMatcher(20, 2, random.Random(31_000), epsilon=epsilon)
+            for _ in range(shards + 1)
+        )
         for el in stream.elements:
             whole.process_update(el)
-        for el in stream.elements[:half]:
-            left.process_update(el)
-        for el in stream.elements[half:]:
-            right.process_update(el)  # deletes may precede their inserts
-        left.merge_from(right)
-        # cell keys carry the weight itself, so the merged grid equals
-        # the sequential one key for key once one-index samplers are
-        # spread to their levels
+        for i, el in enumerate(stream.elements):
+            # later shards take later elements: deletes may precede their inserts
+            [left, *rest][i * shards // len(stream.elements)].process_update(el)
+        for right in rest:
+            left.merge_from(right)
+        # cell keys carry the weight key, so the merged grid equals the
+        # sequential one key for key once one-index samplers are spread
+        # to their levels
         assert left.dense_cells() == whole.dense_cells()
         assert left.tops == whole.tops
         a, b = left.query(), whole.query()
@@ -500,6 +510,49 @@ class TestMerge:
         assert left.query() == whole.query()
         assert left.last_fail_count == whole.last_fail_count
         assert left.live_sampler_count == whole.live_sampler_count
+
+    def test_zero_count_with_a_payload_matches_merged(self):
+        # 5 and 4 share weight key 4 at eps = 0.5, so the delete leaves
+        # each of the edge's samplers a count of 0 and a payload sum of
+        # 1; a second edge then reaches the samplers 1 and 5 share
+        a, b = insert(0, 1, 5), insert(0, 5, 5)
+        whole, left, right = (
+            DynamicMatcher(10, 1, random.Random(1), epsilon=0.5) for _ in range(3)
+        )
+        for el in (a, delete(0, 1, 4), b):
+            whole.process_update(el)
+        left.process_update(a)
+        left.process_update(delete(0, 1, 4))
+        right.process_update(b)
+        left.merge_from(right)
+        assert left.dense_cells() == whole.dense_cells()
+        assert left.tops == whole.tops
+        assert left.query() == whole.query() == matching_of([Edge(0, 5, 5)])
+
+    def test_validating_merge_keeps_the_live_map(self):
+        left, right = (DynamicMatcher(10, 1, random.Random(1), validate=True)
+                       for _ in range(2))
+        right.process_update(insert(0, 1, 5))
+        left.merge_from(right)
+        left.process_update(delete(0, 1, 5))  # the merged edge is live
+        assert left.query() is NO_K_MATCHING
+
+    def test_validating_merge_rejects_a_shared_live_edge(self):
+        left, right = (DynamicMatcher(10, 1, random.Random(1), validate=True)
+                       for _ in range(2))
+        left.process_update(insert(0, 1, 5))
+        right.process_update(insert(0, 1, 5))
+        with pytest.raises(MalformedStream):
+            left.merge_from(right)
+        assert len(left.tops) == left.scheme.d2 ** 2  # nothing merged
+
+    def test_validating_merge_rejects_an_unvalidated_grid(self):
+        left = DynamicMatcher(10, 1, random.Random(1), validate=True)
+        right = DynamicMatcher(10, 1, random.Random(1))
+        right.process_update(insert(0, 1, 5))
+        with pytest.raises(InvalidParameter):
+            left.merge_from(right)
+        assert not left.tops
 
     def test_merge_rejects_mismatched_randomness(self):
         a = DynamicMatcher(20, 2, random.Random(1))
