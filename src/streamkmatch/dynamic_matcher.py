@@ -61,6 +61,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    DELETE,
     Edge,
     INSERT,
     InvalidParameter,
@@ -417,6 +418,8 @@ class DynamicMatcher(CellGrid):
 
     def process_update(self, el: StreamElement) -> None:
         e, op = el
+        if op not in (INSERT, DELETE):
+            raise MalformedStream(self.updates, f"unknown op {op!r}")
         d = 1 if op == INSERT else -1
         u, v, w = e
         if not isinstance(w, int):
@@ -440,7 +443,8 @@ class DynamicMatcher(CellGrid):
         d4 = self.scheme.d4
         wb = key_w * d4 * d4
         eid = edge_index(u, v, self.n)
-        self._add([wb + i * d4 + j for i in hu for j in hv], eid, self._cell(eid, d, w))
+        rows = [wb + i * d4 for i in hu]
+        self._add([r + j for r in rows for j in hv], eid, self._cell(eid, d, w))
         self.updates += 1
         self.last_keys_touched = len(hu) * len(hv)
 
@@ -458,9 +462,10 @@ class DynamicMatcher(CellGrid):
     # -- query path ----------------------------------------------------
 
     def query(self):
-        # one edge per decoded index, carrying its true weight
+        # one edge per decoded index, at the heaviest weight decoded for it
+        # (an unvalidated stream may insert a pair twice): order-free
         found, self.last_fail_count = self._decode()
-        weights = {eid: wt for eid, _, wt in found}
+        weights = dict(sorted((eid, wt) for eid, _, wt in set(found)))
         sampled = [Edge(*edge_at_index(eid, self.n), wt) for eid, wt in weights.items()]
         if self.epsilon is None:
             return max_weight_k_matching(sampled, self.k)

@@ -51,10 +51,12 @@ class KWiseHash(NamedTuple):
     r: int
 
     def __call__(self, x: int) -> int:
+        # Horner over plain ints, reduced once: the same value, kappa fewer mods
+        x %= FIELD_PRIME
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * x + c) % FIELD_PRIME
-        return acc % self.r
+            acc = acc * x + c
+        return acc % FIELD_PRIME % self.r
 
 
 def random_kwise(kappa: int, r: int, rng) -> KWiseHash:
@@ -109,9 +111,11 @@ def build_hash_scheme(universe_size: int, k: int, rng) -> HashScheme:
 
 def scheme_eval(s: HashScheme, x: int) -> list:
     """The d2 values of x: entry i (1-based) is f(x)*d2*d3 + (i-1)*d3 + h_i(x)."""
-    base = s.f(x) * s.d2 * s.d3
     d3 = s.d3
-    return [base + i * d3 + h(x) for i, h in enumerate(s.level2)]
+    base = s.f(x) * s.d2 * d3
+    # h_i inlined: d2 NamedTuple calls cost more than their arithmetic
+    return [lo + (a * x + b) % FIELD_PRIME % d3
+            for lo, (a, b, _) in zip(range(base, base + s.d2 * d3, d3), s.level2)]
 
 
 def distinguishes(s: HashScheme, subset: Sequence[int]) -> bool:

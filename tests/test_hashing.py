@@ -94,6 +94,20 @@ class TestKWiseHash:
         with pytest.raises(InvalidParameter):
             random_kwise(3, 0, random.Random(1))
 
+    def test_matches_per_step_reduced_horner(self):
+        # one reduction at the end gives the same value as reducing mod p
+        # after every Horner step, also for x at and beyond the prime
+        rng = random.Random(11)
+        xs = (0, 1, 199, 2**40, FIELD_PRIME - 1, FIELD_PRIME, 2**64 + 3)
+        for kappa in range(1, 21):
+            coeffs = tuple(rng.randrange(0, FIELD_PRIME) for _ in range(kappa))
+            r = rng.randrange(1, 1 << 20)
+            for x in xs:
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = (acc * x + c) % FIELD_PRIME
+                assert KWiseHash(coeffs, r)(x) == acc % r
+
     def test_pairwise_uniformity_smoke(self):
         # a 4-wise polynomial should spread a fixed pair near-uniformly
         rng = random.Random(4)
@@ -141,18 +155,19 @@ class TestHashScheme:
         assert len(s.f.coeffs) == math.ceil(12 * math.log(4))
 
     def test_eval_block_layout(self):
-        # entry i must land in block [f(x)*d2*d3 + i*d3, ... + d3)
+        # entry i must land in block [f(x)*d2*d3 + i*d3, ... + d3); the
+        # k=4 scheme has the dynamic benchmark's dimensions (d2=12, d3=361)
         rng = random.Random(6)
-        s = build_hash_scheme(500, 3, rng)
-        for x in range(0, 500, 17):
-            vals = scheme_eval(s, x)
-            assert len(vals) == s.d2
-            base = s.f(x) * s.d2 * s.d3
-            for i, val in enumerate(vals):
-                lo = base + i * s.d3
-                assert lo <= val < lo + s.d3
-                assert val == lo + s.level2[i](x)
-            assert all(0 <= val < s.d4 for val in vals)
+        for s in (build_hash_scheme(500, 3, rng), build_hash_scheme(200, 4, rng)):
+            for x in range(0, s.universe_size, 17):
+                vals = scheme_eval(s, x)
+                assert len(vals) == s.d2
+                base = s.f(x) * s.d2 * s.d3
+                for i, val in enumerate(vals):
+                    lo = base + i * s.d3
+                    assert lo <= val < lo + s.d3
+                    assert val == lo + s.level2[i](x)
+                assert all(0 <= val < s.d4 for val in vals)
 
     def test_distinguishes_matches_brute_force(self):
         rng = random.Random(7)
