@@ -87,23 +87,27 @@ def edge_index(u: int, v: int, n: int) -> int:
 
 
 def edge_at_index(eid: int, n: int) -> tuple:
-    """Inverse of edge_index."""
-    if not (0 <= eid < n * (n - 1) // 2):
+    """Inverse of edge_index, in exact integers.
+
+    Counted back from the last id, r = N - 1 - eid for N = n(n-1)/2,
+    the j-th row from the end (row u = n - 2 - j) holds ids with
+    j(j+1)/2 <= r < (j+1)(j+2)/2, so j = (isqrt(8r + 1) - 1) // 2.
+    """
+    last = n * (n - 1) // 2 - 1
+    if not (n > 1 and 0 <= eid <= last):
         raise InvalidParameter(f"edge id {eid} out of range for n={n}")
-    # closed form start, then local adjust to dodge float rounding;
-    # row u covers indices [offset, offset + n - 1 - u)
-    u = int(n - 0.5 - math.sqrt((n - 0.5) ** 2 - 2 * eid))
-    u = max(0, min(u, n - 2))
-    while True:
-        offset = u * n - u * (u + 1) // 2
-        if eid < offset:
-            u -= 1
-        elif eid >= offset + (n - 1 - u):
-            u += 1
-        else:
-            break
-    v = eid - offset + u + 1
-    return (u, v)
+    r = last - eid
+    j = (math.isqrt(8 * r + 1) - 1) // 2
+    return (n - 2 - j, n - 1 - r + j * (j + 1) // 2)
+
+
+def halvings(p) -> int:
+    """The smallest t >= 0 with 2^-t <= p, for p in (0, 1], exactly:
+    ceil(log2(1/p)) without a float logarithm."""
+    if not 0 < p <= 1:
+        raise InvalidParameter(f"{p!r} is not a probability in (0, 1]")
+    num, den = p.as_integer_ratio()
+    return (-(-den // num) - 1).bit_length()
 
 
 class StreamElement(NamedTuple):
@@ -143,12 +147,33 @@ def matching_of(edges: Iterable[Edge]) -> Matching:
     return Matching(edges)
 
 
+def apply_update(live: dict, pos: int, u: int, v: int, wt: Number, op: str) -> None:
+    """Apply an insert or delete of the canonical pair (u, v) to live, a
+    map from pair to weight, or raise MalformedStream at position pos on
+    a duplicate live insert, a delete of an absent or differently
+    weighted edge, or an unknown op."""
+    key = (u, v)
+    if op == INSERT:
+        if key in live:
+            raise MalformedStream(pos, f"duplicate live insert of {key}")
+        live[key] = wt
+    elif op == DELETE:
+        w = live.get(key)
+        if w is None:
+            raise MalformedStream(pos, f"delete of absent edge {key}")
+        if w != wt:
+            raise MalformedStream(pos, f"delete weight {wt} != live weight {w} on {key}")
+        del live[key]
+    else:
+        raise MalformedStream(pos, f"unknown op {op!r}")
+
+
 def materialize(elements: Sequence[StreamElement], n=None) -> list:
     """Replay a stream and return the live edge set.
 
     Raises MalformedStream (with the position of the first violation) on
-    phantom deletes, duplicate live inserts, weight-mismatched deletes,
-    self-loops, vertices outside [0, n), or weights outside [0, inf).
+    self-loops, vertices outside [0, n), weights outside [0, inf), and
+    every violation apply_update rejects.
     """
     live = {}
     for pos, (e, op) in enumerate(elements):
@@ -159,21 +184,7 @@ def materialize(elements: Sequence[StreamElement], n=None) -> list:
             raise MalformedStream(pos, f"vertex out of range in ({e.u}, {e.v})")
         if not 0 <= e.wt < math.inf:
             raise MalformedStream(pos, f"bad weight {e.wt}")
-        if op == INSERT:
-            if (u, v) in live:
-                raise MalformedStream(pos, f"duplicate live insert of ({u}, {v})")
-            live[(u, v)] = e.wt
-        elif op == DELETE:
-            w = live.get((u, v))
-            if w is None:
-                raise MalformedStream(pos, f"delete of absent edge ({u}, {v})")
-            if w != e.wt:
-                raise MalformedStream(
-                    pos, f"delete weight {e.wt} != live weight {w} on ({u}, {v})"
-                )
-            del live[(u, v)]
-        else:
-            raise MalformedStream(pos, f"unknown op {op!r}")
+        apply_update(live, pos, u, v, e.wt, op)
     return [Edge(u, v, w) for (u, v), w in sorted(live.items())]
 
 
@@ -184,17 +195,11 @@ class Stream(NamedTuple):
     elements: tuple
 
 
-def _format_weight(w: Number) -> str:
-    if isinstance(w, int):
-        return str(w)
-    return repr(w)
-
-
 def stream_to_text(stream: Stream) -> str:
     """Serialize in the line format: header 'n k mode', then '+/- u v w'."""
     lines = [f"{stream.n} {stream.k} {stream.mode}\n"]
     for e, op in stream.elements:
-        lines.append(f"{op} {e.u} {e.v} {_format_weight(e.wt)}\n")
+        lines.append(f"{op} {e.u} {e.v} {e.wt!r}\n")
     return "".join(lines)
 
 

@@ -68,8 +68,10 @@ from .core import (
     MalformedStream,
     Sentinel,
     StreamElement,
+    apply_update,
     edge_at_index,
     edge_index,
+    halvings,
     matching_of,
 )
 from .hashing import FIELD_PRIME, build_hash_scheme, random_kwise, scheme_eval
@@ -160,9 +162,8 @@ class CellGrid:
         if not (0 < delta < 1):
             raise InvalidParameter("delta must lie in (0, 1)")
         self.universe = universe
-        self.delta = delta
-        self.levels = max(1, math.ceil(math.log2(max(universe, 2)))) + 1
-        self.reps = max(1, math.ceil(math.log2(1 / delta)))
+        self.levels = max(universe - 1, 1).bit_length() + 1
+        self.reps = halvings(delta)
         kappa = self.reps + 2
         span = 1 << (self.levels - 1)
         self.level_hashes = [
@@ -433,7 +434,7 @@ class DynamicMatcher(CellGrid):
         if not (0 <= u < v < self.n and w >= 0):
             raise MalformedStream(self.updates, f"bad edge ({u}, {v}, {w})")
         if self._live is not None:
-            self._check(u, v, w, d)
+            apply_update(self._live, self.updates, u, v, w, op)
         key_w = w
         if self.epsilon is not None:
             # t(1) = 0, so key -1 is free for weight 0
@@ -447,17 +448,6 @@ class DynamicMatcher(CellGrid):
         self._add([r + j for r in rows for j in hv], eid, self._cell(eid, d, w))
         self.updates += 1
         self.last_keys_touched = len(hu) * len(hv)
-
-    def _check(self, u, v, w, d):
-        key = (u, v)
-        if d > 0:
-            if key in self._live:
-                raise MalformedStream(self.updates, f"duplicate insert of {key}")
-            self._live[key] = w
-        else:
-            if self._live.get(key) != w:
-                raise MalformedStream(self.updates, f"bad delete of {key}")
-            del self._live[key]
 
     # -- query path ----------------------------------------------------
 
@@ -519,7 +509,7 @@ class DynamicMatcher(CellGrid):
         if live is not None and other._live is None:
             raise InvalidParameter("a validating grid merges only validating grids")
         if live is not None and (both := live.keys() & other._live.keys()):
-            raise MalformedStream(self.updates, f"duplicate insert of {min(both)}")
+            raise MalformedStream(self.updates, f"duplicate live insert of {min(both)}")
         self._merge_cells(other)
         if live is not None:
             live.update(other._live)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Edge, InvalidParameter, MalformedStream
+from .core import Edge, InvalidParameter, MalformedStream, halvings
 from .reducer import C_RED, ReducerState, new_vertex_partition, reduce
 from .solver import NO_K_MATCHING, max_weight_k_matching, preference
 
@@ -29,8 +29,7 @@ def step_budget(k: int, epsilon: float) -> int:
     """Per-arrival micro-step budget: enough to drain all in-flight
     reductions (each at most C_RED*(8k^2 + k^2) steps) within one
     segment of 4k^2 arrivals, with slack."""
-    count = math.ceil(math.log2(1 / epsilon))
-    return math.ceil(13 * C_RED * count / 4) + 1
+    return -(-13 * C_RED * halvings(epsilon) // 4) + 1
 
 
 class InsertMatcher:
@@ -42,10 +41,7 @@ class InsertMatcher:
         self.n = n
         self.k = k
         self.epsilon = epsilon
-        self.hashes = [
-            new_vertex_partition(k, rng)
-            for _ in range(math.ceil(math.log2(1 / epsilon)))
-        ]
+        self.hashes = [new_vertex_partition(k, rng) for _ in range(halvings(epsilon))]
         self.segment_size = 4 * k * k
         self.budget = step_budget(k, epsilon)
         self.filling = []

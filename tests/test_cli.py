@@ -154,6 +154,22 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["stats"]["negative_samplers"] == 0
 
+    def test_run_dyn_decodes_the_last_pair_of_a_huge_n(self, tmp_path):
+        # this pair's id is beyond float precision: no float square root
+        path = tmp_path / "huge.txt"
+        path.write_text("9007199254740997 1 dyn\n+ 9007199254740994 9007199254740995 5\n")
+        code, out = run_cli("run-dyn", str(path))
+        assert code == 0
+        assert out.splitlines()[:2] == ["9007199254740994 9007199254740995 5", "weight 5"]
+
+    def test_run_ins_subnormal_epsilon(self, tmp_path):
+        # 1 / 1e-320 overflows a float: the counts are exact integers
+        path = tmp_path / "ins.txt"
+        path.write_text("10 2 ins\n+ 0 1 5\n+ 2 3 4\n+ 4 5 9\n")
+        code, out = run_cli("run-ins", str(path), "--epsilon", "1e-320")
+        assert code == 0
+        assert "weight 14" in out.splitlines()
+
     def test_run_dyn_rejects_ins_stream(self, ins_stream):
         code, _ = run_cli("run-dyn", ins_stream)
         assert code == 2

@@ -94,6 +94,19 @@ class TestEdgeNumbering:
             u, v = edge_at_index(eid, n)
             assert edge_index(u, v, n) == eid
 
+    @pytest.mark.parametrize("n", [2 ** 53 + 5, 10 ** 18])
+    def test_round_trip_on_the_last_rows_of_a_huge_n(self, n):
+        # beyond 2^53 a float square root cannot place these ids: it goes
+        # negative (math domain error) or starts at the last row, from
+        # which a correction loop would walk ~sqrt(2 * 10^20) rows
+        last = n * (n - 1) // 2 - 1
+        deep = [last - 10 ** p for p in (6, 12, 20)]
+        for eid in [*range(last - 20, last + 1), *deep, 0, 1, n - 2, n - 1]:
+            u, v = edge_at_index(eid, n)
+            assert 0 <= u < v < n and edge_index(u, v, n) == eid
+        assert edge_at_index(last, n) == (n - 2, n - 1)
+        assert edge_at_index(last - 2, n) == (n - 3, n - 2)
+
     def test_out_of_range(self):
         with pytest.raises(InvalidParameter):
             edge_index(1, 1, 5)
@@ -103,6 +116,8 @@ class TestEdgeNumbering:
             edge_at_index(10, 5)
         with pytest.raises(InvalidParameter):
             edge_at_index(-1, 5)
+        with pytest.raises(InvalidParameter):
+            edge_at_index(0, -1)  # n(n-1)/2 = 1, but no pair lies under n = -1
 
 
 class TestMatching:

@@ -18,6 +18,7 @@ from streamkmatch import (
 )
 from reducer_reference import ReferenceInsertMatcher
 from streamkmatch import insert_matcher
+from streamkmatch.core import halvings
 from streamkmatch.insert_matcher import step_budget
 from streamkmatch.reducer import C_RED, ReducerState
 
@@ -38,6 +39,19 @@ class TestParameters:
         m = InsertMatcher(20, 2, 1 / 16, random.Random(1))
         assert len(m.hashes) == 4
         assert m.segment_size == 16
+
+    def test_counts_are_exact_for_subnormal_epsilon(self):
+        # 1 / 1e-320 overflows a float, so no float log2 can give these
+        assert halvings(1e-320) == 1064
+        assert halvings(5e-324) == 1074
+        assert [halvings(p) for p in (1.0, 0.5, 0.25, 0.2, 1 / 16, 0.01)] == [0, 1, 2, 3, 4, 7]
+        assert halvings(math.nextafter(0.25, 0)) == 3
+        for p in (0.0, -0.5, 1.5, math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                step_budget(3, p)
+        assert step_budget(3, 1e-320) == 13 * C_RED * 1064 // 4 + 1
+        m = InsertMatcher(20, 2, 1e-320, random.Random(1))
+        assert len(m.hashes) == 1064
 
     def test_space_bound_formula(self):
         m = InsertMatcher(20, 3, 1 / 16, random.Random(2))

@@ -21,6 +21,11 @@ class TestConstruction:
         assert len(s.level_hashes) == 7
         assert all(len(h.coeffs) == s.reps + 2 for h in s.level_hashes)
 
+    def test_levels_are_exact_above_float_precision(self):
+        # float(2^60 + 1) rounds to 2^60, so a float log2 loses a level
+        for universe, levels in ((2, 2), (3, 3), (4, 3), (5, 4), (2 ** 60, 61), (2 ** 60 + 1, 62)):
+            assert L0Sampler(universe, 0.5, random.Random(1)).levels == levels
+
     def test_tiny_universe(self):
         s = L0Sampler(1, 0.5, random.Random(2))
         assert s.levels == 2 and s.reps == 1
