@@ -14,7 +14,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .core import Edge, edge_at_index, materialize
+from .core import Edge, InvalidParameter, edge_at_index, materialize
 from .dynamic_matcher import FAIL, DynamicMatcher, L0Sampler
 from .generators import (
     bipartite_matching_size,
@@ -371,14 +371,11 @@ CRITERIA = (
 )
 
 
-def run_criterion(number: int) -> CriterionResult:
-    results = run_all({number})
-    if not results:
-        raise ValueError(f"no criterion {number}")
-    return results[0]
-
-
 def run_all(numbers=None, report=None):
+    """Run the criteria whose numbers are given (all when none are)."""
+    unknown = set(numbers or ()) - {num for num, _, _ in CRITERIA}
+    if unknown:
+        raise InvalidParameter(f"no criterion {', '.join(map(str, sorted(unknown)))}")
     results = []
     for num, name, fn in CRITERIA:
         if numbers and num not in numbers:

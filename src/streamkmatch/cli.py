@@ -57,6 +57,14 @@ def _emit_matching(answer, stats, fmt, out):
         out.write(f"# {key} {stats[key]}\n")
 
 
+def _ints(text, option):
+    """A comma-separated integer list; an empty option gives []."""
+    try:
+        return [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise InvalidParameter(f"{option} takes integers, not {text!r}") from None
+
+
 def _load(path):
     if path == "-":
         return read_stream(sys.stdin)
@@ -65,6 +73,8 @@ def _load(path):
 
 def _cmd_gen(args, out):
     if args.family == "random":
+        if args.n is None:
+            raise InvalidParameter("gen --family random needs --n")
         stream = gen_random_stream(
             args.n,
             args.k,
@@ -78,11 +88,8 @@ def _cmd_gen(args, out):
     elif args.family == "index-hard":
         stream = gen_index_hard(args.m, args.x, args.z, n=args.n)
     else:
-        values = [int(t) for t in args.values.split(",")]
-        removed = (
-            [int(t) for t in args.deleted.split(",")] if args.deleted else []
-        )
-        stream = gen_partial_max_hard(values, removed, n=args.n)
+        values = _ints(args.values, "--values")
+        stream = gen_partial_max_hard(values, _ints(args.deleted, "--deleted"), n=args.n)
     text = stream_to_text(stream)
     if args.output:
         with open(args.output, "w") as fh:
@@ -133,9 +140,7 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_accept(args, out):
-    numbers = None
-    if args.only:
-        numbers = {int(t) for t in args.only.split(",")}
+    numbers = set(_ints(args.only, "--only"))
     results = acceptance.run_all(numbers, report=lambda line: out.write(line + "\n"))
     return 0 if all(r.ok for r in results) else 1
 

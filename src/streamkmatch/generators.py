@@ -102,9 +102,9 @@ def gen_index_hard(m: int, x, z: int, n=None) -> Stream:
     has a 2*k1-matching iff bit z is set."""
     if m < 1:
         raise InvalidParameter("m must be >= 1")
+    if len(x) != m or any(b not in (0, 1, "0", "1") for b in x):
+        raise InvalidParameter(f"x must be {m} bits, each 0 or 1")
     bits = [int(b) for b in x]
-    if len(bits) != m or any(b not in (0, 1) for b in bits):
-        raise InvalidParameter("x must be m bits")
     if not 1 <= z <= m:
         raise InvalidParameter(f"z={z} outside [1, {m}]")
     k1 = math.ceil(math.sqrt(m))

@@ -45,7 +45,7 @@ class InsertMatcher:
         self.segment_size = 4 * k * k
         self.budget = step_budget(k, epsilon)
         self.filling = []
-        self.reducers = [None for _ in self.hashes]
+        self.reducers = []
         self.arrivals = 0
         # instrumentation (cheap, always on)
         self.max_steps_per_insert = 0
@@ -67,7 +67,7 @@ class InsertMatcher:
         remaining = self.budget
         executed = 0
         for red in self.reducers:
-            if red is None or red.done:
+            if red.done:
                 continue
             used = red.step_upto(remaining)
             executed += used
@@ -82,23 +82,17 @@ class InsertMatcher:
             self.peak_stored_edges = self.stored_edges
 
     def _rotate(self) -> None:
-        # stored_edges counts the buffer and, per hash, the sketch and
-        # the reducer's input (sketch plus segment), as space_bound does
+        if not all(red.done for red in self.reducers):
+            # the budget is sized to make this unreachable
+            raise RuntimeError("reduction missed its segment deadline")
         segment = self.filling
         self.filling = []
-        stored = self.stored_edges - len(segment)
-        for idx, f in enumerate(self.hashes):
-            red = self.reducers[idx]
-            sketch = ()
-            if red is not None:
-                if not red.done:
-                    # the budget is sized to make this unreachable
-                    raise RuntimeError("reduction missed its segment deadline")
-                sketch = red.kept
-                stored -= 2 * len(red.carry) + len(red.edges)
-            stored += 2 * len(sketch) + len(segment)
-            self.reducers[idx] = ReducerState(segment, f, self.k, sketch)
-        self.stored_edges = stored
+        sketches = [red.kept for red in self.reducers] or [()] * len(self.hashes)
+        self.reducers = [ReducerState(segment, f, self.k, sketch)
+                         for f, sketch in zip(self.hashes, sketches)]
+        # stored_edges counts the buffer and, per hash, the sketch and
+        # the reducer's input (sketch plus segment), as space_bound does
+        self.stored_edges = sum(2 * len(sketch) + len(segment) for sketch in sketches)
 
     def stats(self) -> dict:
         return {
@@ -113,12 +107,12 @@ class InsertMatcher:
         """Finish pending reductions and return, per hash, the reduced
         subgraph of the prefix up to the last segment boundary.  Returns
         None while still inside the first segment."""
-        if self.reducers[0] is None:
+        if not self.reducers:
             return None
         return [red.run_to_completion() for red in self.reducers]
 
     def query(self):
-        if self.reducers[0] is None:
+        if not self.reducers:
             # first segment: the buffer is the whole graph so far
             return max_weight_k_matching(self.filling, self.k)
         answers = []

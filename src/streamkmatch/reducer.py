@@ -43,7 +43,7 @@ from itertools import islice
 
 from .core import InvalidParameter
 from .hashing import UniversalHash, random_universal
-from .selection import top_t_steps, walk
+from .selection import _touch, top_t_steps, walk
 
 # Calibrated unit constant: a full reduction of m edges spends at most
 # C_RED * (m + k^2) units.  Pinned by a calibration test.
@@ -106,35 +106,33 @@ class ReducerState:
         cap_bucket = 2 * self.k
         cap_global = 4 * self.k * self.k
 
-        # phase 1: carried entries are tagged already; new edges are
-        # bucketed, and intra-bucket ones dropped
-        tagged = []
+        # phases 1 and 2: the heaviest entry per bucket pair.  Carried
+        # entries hold distinct pairs already; new edges are bucketed
+        # straight in, and intra-bucket ones dropped.  Each tagged entry
+        # (carried or crossing) costs one more unit after bucketing.
+        best = {}
+        crossing = 0
 
         def carried(pos, end):
-            tagged.extend(carry[pos:end])
+            for x in carry[pos:end]:
+                best[x[3]] = x
 
         def bucketed(pos, end):
+            nonlocal crossing
             for e in edges[pos:end]:
                 u, v, wt = e
                 i, j = f(u), f(v)
-                if i < j:
-                    tagged.append((wt, u, v, i * r + j, e))
-                elif j < i:
-                    tagged.append((wt, u, v, j * r + i, e))
-
-        budget = yield from walk(len(carry), budget, carried)
-        budget = yield from walk(len(edges), budget, bucketed)
-
-        # phase 2: heaviest entry per bucket pair
-        best = {}
-
-        def dedup(pos, end):
-            for x in tagged[pos:end]:
+                if i == j:
+                    continue
+                x = (wt, u, v, i * r + j, e) if i < j else (wt, u, v, j * r + i, e)
+                crossing += 1
                 cur = best.get(x[3])
                 if cur is None or x > cur:
                     best[x[3]] = x
 
-        budget = yield from walk(len(tagged), budget, dedup)
+        budget = yield from walk(len(carry), budget, carried)
+        budget = yield from walk(len(edges), budget, bucketed)
+        budget = yield from walk(len(carry) + crossing, budget, _touch)
 
         # phase 3: per bucket, keep only the 2k heaviest incident
         # entries; an entry survives iff kept by both of its buckets
@@ -163,6 +161,7 @@ class ReducerState:
                 continue
             kept, budget = yield from top_t_steps(kept, cap_bucket, budget)
             budget = yield from walk(len(kept), budget, mark)
+        buckets = kept = None  # each phase frees its lists as it ends
         survivors = []
         pairs = iter(best.values())
 
@@ -170,6 +169,7 @@ class ReducerState:
             survivors.extend([x for x in islice(pairs, end - pos) if marks.get(x[3]) == 2])
 
         budget = yield from walk(len(best), budget, survive)
+        best = marks = None
 
         # phase 4: keep the 4k^2 heaviest overall
         self.kept, budget = yield from top_t_steps(survivors, cap_global, budget)

@@ -13,6 +13,7 @@ on.  All other checks must pass outright.
 import pytest
 
 from streamkmatch import acceptance
+from streamkmatch.core import InvalidParameter
 
 
 def _check(number, result):
@@ -21,13 +22,13 @@ def _check(number, result):
 
 
 def _run(number):
-    return _check(number, acceptance.run_criterion(number))
+    return _check(number, acceptance.run_all({number})[0])
 
 
 @pytest.fixture(scope="module")
 def criterion_1():
     # both check-1 tests read one run on the same seeds
-    return acceptance.run_criterion(1)
+    return acceptance.run_all({1})[0]
 
 
 @pytest.mark.xfail(
@@ -89,3 +90,7 @@ def test_criterion_9_solver_self_consistency():
 def test_criterion_10_adversarial_generators():
     _run(10)
 
+
+def test_unknown_criterion_is_refused():
+    with pytest.raises(InvalidParameter, match="no criterion 0, 11"):
+        acceptance.run_all({0, 3, 11})

@@ -64,6 +64,16 @@ class TestGen:
         code, _ = run_cli("gen", "--n", "5", "--edges", "100", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "random"],
+        ["--family", "partial-max", "--values", "3,x"],
+        ["--family", "index-hard", "--x", "10a0"],
+    ], ids=["random-without-n", "partial-max-values", "index-hard-bits"])
+    def test_unparsable_option_exit_2(self, capsys, argv):
+        code, out = run_cli("gen", *argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRun:
     @pytest.fixture()
@@ -174,6 +184,17 @@ class TestRun:
         code, _ = run_cli("run-dyn", ins_stream)
         assert code == 2
 
+    def test_run_ins_text_without_a_k_matching(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("6 2 ins\n+ 0 1 5\n+ 1 2 4\n")
+        code, out = run_cli("run-ins", str(path))
+        assert code == 0 and out.splitlines()[0] == "no k-matching"
+
+    def test_stream_from_stdin(self, ins_stream, monkeypatch):
+        with open(ins_stream) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        assert run_cli("oracle", "-") == run_cli("oracle", ins_stream)
+
     def test_oracle_text(self, dyn_stream):
         code, out = run_cli("oracle", dyn_stream)
         assert code == 0
@@ -259,6 +280,13 @@ class TestAccept:
         assert code == 1
         assert out.startswith("FAIL  1 ")
         assert "unattainable" in out
+
+
+    @pytest.mark.parametrize("only", ["99", "x"], ids=["unknown", "not-a-number"])
+    def test_bad_criterion_exit_2(self, capsys, only):
+        code, out = run_cli("accept", "--only", only)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestParser:

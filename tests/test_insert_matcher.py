@@ -262,8 +262,7 @@ def _recount(m):
     and the reducer's input (the sketch plus a segment)."""
     total = len(m.filling)
     for red in m.reducers:
-        if red is not None:
-            total += len(red.carry) + len(red.carry) + len(red.edges)
+        total += len(red.carry) + len(red.carry) + len(red.edges)
     return total
 
 

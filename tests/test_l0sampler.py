@@ -160,6 +160,31 @@ class TestMergeAndSnapshot:
             assert merged.cells_snapshot() == whole.cells_snapshot()
             assert merged.query() == whole.query()
 
+    def test_one_index_sampler_meets_a_full_one(self):
+        a = L0Sampler(1000, 0.01, random.Random(3))
+        b = L0Sampler(1000, 0.01, random.Random(3))
+        whole = L0Sampler(1000, 0.01, random.Random(3))
+        a.update(5, 1)
+        b.update(7, 1)
+        b.update(9, 1)
+        for i in (5, 7, 9):
+            whole.update(i, 1)
+        a.merge(b)
+        assert a.tops == whole.tops and a._full == whole._full == {0}
+        assert a.cells == whole.cells
+        assert a.dense_cells() == whole.dense_cells()
+        assert a.query() == whole.query()
+
+    def test_full_sampler_cancels_to_nothing(self):
+        a = L0Sampler(1000, 0.01, random.Random(3))
+        b = L0Sampler(1000, 0.01, random.Random(3))
+        for i in (5, 7):
+            a.update(i, 1)
+            b.update(i, -1)
+        a.merge(b)
+        assert a.tops == {} and a._full == set() and a.cells == {}
+        assert a.query() is FAIL
+
     def test_merge_rejects_mismatched_randomness(self):
         a = L0Sampler(128, 0.1, random.Random(10))
         b = L0Sampler(128, 0.1, random.Random(11))
