@@ -226,6 +226,8 @@ def read_stream(source) -> Stream:
             n, k, mode = int(header[0]), int(header[1]), header[2]
         except ValueError:
             raise MalformedStream(-1, f"bad header {header!r}") from None
+        if n < 0:
+            raise MalformedStream(-1, f"vertex count n={n} must be >= 0")
         if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
             raise MalformedStream(-1, f"unknown mode {mode!r}")
         elements = []

@@ -57,6 +57,7 @@ keys only know the rounded bucket.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -242,9 +243,10 @@ class CellGrid:
                 full.discard(base)
 
     def _decode(self):
-        """Query each sampler whose count is not zero once.  Returns the
-        decoded (index, count, payload per copy) triples and the fail
-        count."""
+        """Query every sampler whose count is not zero.  Returns the
+        decoded (index, count, payload per copy) triples, one per
+        distinct one-index top cell and one per full sampler that
+        decodes, and the fail count, one per sampler that fails."""
         q = FIELD_PRIME
         z = self.z
         universe = self.universe
@@ -298,26 +300,24 @@ class CellGrid:
                         break
             return None
 
-        decoded = {}  # one-index top cell -> its decode, None for a fail
-        found = []
-        fails = 0
-        for base, top in self.tops.items():
-            if not top & c0_mask:
-                continue  # count zero
-            if base not in full:
-                # every repetition meets this one sum at the index's level
-                if top in decoded:
-                    got = decoded[top]
-                else:
-                    got = decoded[top] = first_decode(((top,),))
-            else:
+        # every repetition of a one-index sampler meets its one top cell
+        # at the index's level: count the samplers per top cell, taking
+        # the full ones out by base (+a, +b, -b leaves a full sampler
+        # whose top equals a one-index one), and decode each cell once
+        tops = self.tops
+        times = Counter(tops.values())
+        got = []  # (decode or None, samplers it stands for)
+        for base in full:
+            top = tops[base]
+            times[top] -= 1
+            if top & c0_mask:  # count zero decodes nothing
                 kb = base << shift
-                got = first_decode(suffixes(kb | (rep << lev_bits)) for rep in reps)
-            if got is None:
-                fails += 1
-            else:
-                found.append(got)
-        return found, fails
+                got.append((first_decode(suffixes(kb | (rep << lev_bits))
+                                         for rep in reps), 1))
+        got += [(first_decode(((top,),)), n) for top, n in times.items()
+                if n and top & c0_mask]
+        return ([g for g, _ in got if g is not None],
+                sum(n for g, n in got if g is None))
 
     def _merge_cells(self, other: "CellGrid") -> None:
         """Add a grid built with the same randomness, sampler by sampler."""
@@ -478,10 +478,10 @@ class DynamicMatcher(CellGrid):
         """(weight keys, live samplers, negative samplers) from one pass
         over the top cells; key -1 is weight 0, and a negative count
         means the stream deleted an absent edge."""
-        live = {base: c for base, top in self.tops.items()
-                if (c := _split(top, _C0_BITS)[0])}
+        live = {base: c for base, top in self.tops.items() if (c := top & _C0_MASK)}
         d4sq = self.scheme.d4 ** 2
-        return len({b // d4sq for b in live}), len(live), sum(c < 0 for c in live.values())
+        sign = 1 << (_C0_BITS - 1)  # the count field read unsigned
+        return len({b // d4sq for b in live}), len(live), sum(c >= sign for c in live.values())
 
     @property
     def live_sampler_count(self) -> int:

@@ -39,6 +39,8 @@ def gen_random_stream(
 ) -> Stream:
     """A seeded random stream: distinct random edges with uniform integer
     weights; in dynamic mode, deletions of live edges are interleaved."""
+    if n < 0:  # n * (n - 1) // 2 would admit edges for it
+        raise InvalidParameter(f"vertex count n={n} must be >= 0")
     universe = n * (n - 1) // 2
     if edges < 0 or edges > universe:
         raise InvalidParameter(f"edge count {edges} not in [0, {universe}]")

@@ -64,6 +64,14 @@ class TestGen:
         code, _ = run_cli("gen", "--n", "5", "--edges", "100", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("edges", ["0", "3"])
+    def test_negative_n_exit_2(self, capsys, edges):
+        # n * (n - 1) // 2 is positive for n = -5
+        code, out = run_cli("gen", "--n", "-5", "--edges", edges)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=-5" in err
+
     @pytest.mark.parametrize("argv", [
         ["--family", "random"],
         ["--family", "partial-max", "--values", "3,x"],
@@ -230,6 +238,16 @@ class TestBadInput:
         path.write_text("6 1 dyn\n+ 0 1 -4\n")
         code, out = run_cli("run-dyn", str(path))
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("mode", ["ins", "dyn"])
+    @pytest.mark.parametrize("command", ["run-ins", "run-dyn", "oracle"])
+    def test_negative_n_header_exit_2(self, tmp_path, capsys, command, mode):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"-5 2 {mode}\n")
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=-5" in err
 
     @pytest.mark.parametrize("text", [
         "6 1 ins\n+ 0 1 x\n",

@@ -415,6 +415,54 @@ class TestDecodeFailures:
         assert m.query().edges == (Edge(0, 1, 5),)
         assert m.last_fail_count == 36
 
+    def test_full_sampler_sharing_a_one_index_top(self):
+        # +a, +b, -b: the six samplers where (0, 5) met (0, 1) stay full,
+        # with the same top cell as the 30 one-index samplers of (0, 1)
+        m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.5)
+        for el in (insert(0, 1, 5), insert(0, 5, 5), delete(0, 5, 5)):
+            m.process_update(el)
+        assert len(m._full) == 6 and len(m.tops) == 36
+        assert len(set(m.tops.values())) == 1
+        assert m.query().edges == (Edge(0, 1, 5),)
+        assert m.last_fail_count == 0
+        assert len(m._full) == 6
+
+    def test_failing_top_shared_by_full_samplers_counts_per_sampler(self):
+        # as above on the doubled edge (0, 1): the shared top fails in the
+        # 30 one-index samplers and in each of the six full ones
+        m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.5)
+        for el in (insert(0, 1, 5), insert(0, 1, 4), insert(0, 5, 5),
+                   delete(0, 5, 5)):
+            m.process_update(el)
+        assert len(m._full) == 6 and len(set(m.tops.values())) == 1
+        assert m.query() is NO_K_MATCHING
+        assert m.last_fail_count == 36
+        assert len(m._full) == 6
+
+
+class TestDecodeContract:
+    def test_one_triple_per_distinct_top_cell(self):
+        # a sliding window of 32 live edges: 4 608 samplers, all one-index,
+        # hold 32 distinct top cells, and each decodes once
+        m = DynamicMatcher(200, 2, random.Random(1))
+        r = random.Random(2)
+        live = []
+        for _ in range(96):
+            u, v = sorted(r.sample(range(200), 2))
+            while any(e[:2] == (u, v) for e in live):
+                u, v = sorted(r.sample(range(200), 2))
+            live.append(Edge(u, v, r.randint(1, 8)))
+            m.process_update(insert(*live[-1]))
+            if len(live) > 32:
+                m.process_update(delete(*live.pop(0)))
+        assert m.live_sampler_count == 4608 and not m._full
+        found, fails = m._decode()
+        assert fails == 0 and len(found) == 32
+        assert {eid for eid, _, _ in found} == {
+            dynamic_matcher.edge_index(e.u, e.v, 200) for e in live
+        }
+        assert m.query().weight == max_weight_k_matching(live, 2).weight
+
 
 class TestSamplerStats:
     def test_stats_equal_the_properties_after_a_phantom_delete(self):
