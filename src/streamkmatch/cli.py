@@ -45,7 +45,8 @@ def _emit_matching(answer, stats, fmt, out):
             "weight": None if answer is NO_K_MATCHING else answer.weight,
             "stats": stats,
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        # default=str writes an exact Fraction weight as "p/q"
+        out.write(json.dumps(payload, indent=2, default=str) + "\n")
         return
     if answer is NO_K_MATCHING:
         out.write("no k-matching\n")

@@ -10,6 +10,7 @@ when weights collide.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Number = Union[int, float]
@@ -128,7 +129,13 @@ class Matching(NamedTuple):
 
     @property
     def weight(self) -> Number:
-        return sum(e.wt for e in self.edges)
+        """The sum of the weights; exact (a Fraction) where a float sum
+        would overflow (an int weight past the float range next to a
+        float one)."""
+        try:
+            return sum(e.wt for e in self.edges)
+        except OverflowError:
+            return sum(Fraction(e.wt) for e in self.edges)
 
     @property
     def beta_profile(self) -> tuple:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -92,9 +93,8 @@ def round_weight(w, epsilon: float) -> int:
     When x lies farther than 1e-9 * max(|x|, 1/log1p(eps)) from every
     integer (about a million times that error), the true x lies
     strictly between the same two integers, so ceil(x) is exact.
-    Otherwise w is at or next to a power of (1+eps), and t is walked
-    out with exact Fraction powers; at eps = 0.1 and w near 10^6 each
-    power is an 8 000-bit number, which is why it is not the default.
+    Otherwise (w at or next to a power of 1+eps, eps below about 1e-9,
+    or x past the float range) `_round_exactly` decides it.
     """
     if w <= 0:
         raise InvalidParameter("weight must be positive for rounding")
@@ -102,17 +102,49 @@ def round_weight(w, epsilon: float) -> int:
         raise InvalidParameter("epsilon must lie in (0, 1)")
     lg = math.log1p(epsilon)
     x = math.log(w) / lg
-    t = math.ceil(x)
-    margin = 1e-9 * max(abs(x), 1 / lg)
-    if t - x > margin and x - (t - 1) > margin:
-        return t
-    base = Fraction(1) + Fraction(epsilon)
-    fw = Fraction(w)
-    while base ** t < fw:
-        t += 1
-    while base ** (t - 1) >= fw:
-        t -= 1
-    return t
+    if math.isfinite(x):
+        t = math.ceil(x)
+        margin = 1e-9 * max(abs(x), 1 / lg)
+        if t - x > margin and x - (t - 1) > margin:
+            return t
+    return _round_exactly(Fraction(w), epsilon)
+
+
+def _round_exactly(w: Fraction, epsilon: float) -> int:
+    """round_weight's t, from log(w) and log(1+eps) in decimal at a
+    precision that doubles until the answer is settled.
+
+    At precision P each step below is off by at most 10^(1-P) of its
+    result (adding eps to 1: of 1), so x = log(w) / log(1+eps) is off
+    by less than err; P starts at 40 plus twice eps's decimal exponent,
+    which keeps err small at any eps.  When no integer lies within err
+    of x, t = ceil(x).  Else, for the integer n nearest x: if
+    w = (1+eps)^n then t = n.  With 1+eps = m / 2^a (m odd) that means
+    the reduced w is m^n / 2^(an), or its inverse for n < 0, tested
+    without a power larger than w.  If not, the true x is not n, and a
+    higher precision tells them apart.  An integer w >= 2 is never
+    such a power: (1+eps)^n has an even denominator for n > 0 and is
+    at most 1 for n <= 0.
+    """
+    base = Fraction(epsilon) + 1
+    m, a = base.numerator, base.denominator.bit_length() - 1
+    eps = Decimal(epsilon)  # exact
+    prec = 40 - 2 * eps.adjusted()
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            lb = (eps + 1).ln()
+            lw = (Decimal(w.numerator) / w.denominator).ln()
+            x = lw / lb
+            err = (abs(x) + (1 + abs(lw) + 2 * abs(x)) / lb).scaleb(2 - prec)
+            n = int(x.to_integral_value())
+            if abs(x - n) > err:
+                return int(x.to_integral_value(ROUND_CEILING))
+        num, den = (w.numerator, w.denominator) if n >= 0 else (w.denominator, w.numerator)
+        if (den & (den - 1) == 0 and den.bit_length() - 1 == a * abs(n)
+                and num == m ** abs(n)):
+            return n
+        prec *= 2
 
 
 # the sampler could not decode any live index
@@ -271,8 +303,6 @@ class CellGrid:
                     s += c
                     yield s
 
-        zpow = {}  # z^j of the candidates this query has seen
-
         def first_decode(walks):
             """The first suffix that decodes, trying walks in order."""
             for walk in walks:
@@ -287,13 +317,10 @@ class CellGrid:
                     j = c1 // c0
                     if j >= universe:
                         continue
-                    zj = zpow.get(j)
-                    if zj is None:
-                        zj = zpow[j] = pow(z, j, q)
                     # _split inlined: a call per candidate cost 9% of a decode
                     rest = s >> fp_at
                     fp = ((rest + fp_half) & fp_mask) - fp_half
-                    if (fp - c0 * zj) % q == 0:
+                    if (fp - c0 * pow(z, j, q)) % q == 0:
                         c2 = (rest - fp) >> _FP_BITS
                         if c2 % c0 == 0:
                             return j, c0, c2 // c0
@@ -455,22 +482,25 @@ class DynamicMatcher(CellGrid):
         # one edge per decoded index, at the heaviest weight decoded for it
         # (an unvalidated stream may insert a pair twice): order-free
         found, self.last_fail_count = self._decode()
-        weights = dict(sorted((eid, wt) for eid, _, wt in set(found)))
-        sampled = [Edge(*edge_at_index(eid, self.n), wt) for eid, wt in weights.items()]
-        if self.epsilon is None:
-            return max_weight_k_matching(sampled, self.k)
-        base = 1.0 + self.epsilon
-        rounded = [
-            Edge(e.u, e.v, base ** round_weight(e.wt, self.epsilon) if e.wt else 0)
-            for e in sampled
-        ]
-        answer = max_weight_k_matching(rounded, self.k)
+        weights = dict(sorted((eid, wt) for eid, _, wt in found))
+        # solve on key weights, answer with the true ones.  Approximation
+        # mode keys a weight of bucket t as (1+eps)^t and 0 as 0, scaled
+        # by (1+eps)^-top when the top bucket would pass the float range.
+        # Where 1 + eps rounds to 1 the weight is its own key: it lies
+        # within a factor 1 + eps of (1+eps)^t, finer than a float tells.
+        keys = weights
+        if (eps := self.epsilon) is not None and 1.0 + eps > 1:
+            ts = {eid: round_weight(wt, eps) for eid, wt in weights.items() if wt}
+            top = max(ts.values(), default=0)
+            shift = top if top * math.log1p(eps) > 700 else 0
+            keys = {eid: (1.0 + eps) ** (ts[eid] - shift) if wt else 0
+                    for eid, wt in weights.items()}
+        answer = max_weight_k_matching(
+            [Edge(*edge_at_index(eid, self.n), key) for eid, key in keys.items()], self.k)
         if answer is NO_K_MATCHING:
             return answer
-        true = {(e.u, e.v): e.wt for e in sampled}
-        return matching_of(
-            Edge(e.u, e.v, true[(e.u, e.v)]) for e in answer.edges
-        )
+        return matching_of(Edge(e.u, e.v, weights[edge_index(e.u, e.v, self.n)])
+                           for e in answer.edges)
 
     # -- bookkeeping ---------------------------------------------------
 

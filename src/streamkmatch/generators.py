@@ -191,20 +191,28 @@ def bipartite_matching_size(edges, need=None) -> int:
     left = [v for v in adj if color[v] == 0]
     match = {}
     size = 0
-
-    def try_augment(a, seen):
-        for b in adj[a]:
-            if b in seen:
+    for a in left:
+        # depth-first search for an augmenting path from a, one frame per
+        # left vertex on the path: (vertex, its untried neighbours)
+        seen = set()
+        frames = [(a, iter(adj[a]))]
+        taken = []  # the right vertex each frame but the top one went through
+        while frames:
+            b = next((b for b in frames[-1][1] if b not in seen), None)
+            if b is None:
+                frames.pop()
+                if taken:
+                    taken.pop()
                 continue
             seen.add(b)
-            if b not in match or try_augment(match[b], seen):
-                match[b] = a
-                return True
-        return False
-
-    for a in left:
-        if try_augment(a, set()):
+            taken.append(b)
+            if b in match:
+                frames.append((match[b], iter(adj[match[b]])))
+                continue
+            for (x, _), y in zip(frames, taken):
+                match[y] = x
             size += 1
             if need is not None and size >= need:
                 return size
+            break
     return size

@@ -34,7 +34,8 @@ smaller sorted beta profile.  The folded sums are therefore distinct
 and ordered exactly as `preference` orders the answers, the optimum is
 unique, and the search may prune every branch whose bound merely ties
 the best so far.  The walk order above is the descending folded order,
-which the search follows.
+which the search follows as one loop over a stack of chosen positions:
+no recursion, so no depth limit in k.
 """
 
 from __future__ import annotations
@@ -97,33 +98,35 @@ def max_weight_k_matching(edges, k: int):
     ]
     csum = list(accumulate(folded, initial=0))
     # every k-subset weighs at least the k lightest
-    best = [csum[m] - csum[m - k] - 1, None]
+    best, found = csum[m] - csum[m - k] - 1, None
     used = set()
-    chosen = []
-
-    def dfs(i, cur):
-        need = k - len(chosen)
-        if need == 0:
-            best[0], best[1] = cur, tuple(chosen)
-            return
-        while i <= m - need:
-            if cur + csum[i + need] - csum[i] <= best[0]:
-                return
+    stack = []  # kernel positions of the chosen edges
+    i = cur = 0
+    while True:
+        need = k - len(stack)
+        if need and i <= m - need and cur + csum[i + need] - csum[i] > best:
             e = kernel[i]
             if e.u not in used and e.v not in used:
                 used.add(e.u)
                 used.add(e.v)
-                chosen.append(e)
-                dfs(i + 1, cur + folded[i])
-                chosen.pop()
-                used.discard(e.u)
-                used.discard(e.v)
+                stack.append(i)
+                cur += folded[i]
             i += 1
-
-    dfs(0, 0)
-    if best[1] is None:
+            continue
+        if not need:
+            best, found = cur, [kernel[j] for j in stack]
+        if not stack:
+            break
+        # back up one level and resume after the popped edge
+        i = stack.pop()
+        e = kernel[i]
+        used.discard(e.u)
+        used.discard(e.v)
+        cur -= folded[i]
+        i += 1
+    if found is None:
         return NO_K_MATCHING
-    return Matching(tuple(sorted(best[1], key=lambda e: e.beta)))
+    return Matching(tuple(sorted(found, key=lambda e: e.beta)))
 
 
 def brute_force_oracle(edges, k: int):

@@ -15,6 +15,7 @@ from streamkmatch import (
     MODE_DYNAMIC,
     MODE_INSERT_ONLY,
     Stream,
+    StreamElement,
     delete,
     edge,
     edge_at_index,
@@ -168,6 +169,19 @@ class TestReplay:
 
     def test_ok_report(self):
         assert materialize([insert(0, 1, 2)]) == [Edge(0, 1, 2)]
+
+    def test_self_loop(self):
+        # edge() refuses a self-loop, so build the element by hand
+        els = [insert(0, 1, 2), StreamElement(Edge(3, 3, 1), INSERT)]
+        with pytest.raises(MalformedStream, match="self-loop at vertex 3") as exc:
+            materialize(els)
+        assert exc.value.index == 1
+
+    def test_unknown_op(self):
+        els = [insert(0, 1, 2), StreamElement(Edge(2, 3, 1), "*")]
+        with pytest.raises(MalformedStream, match="unknown op '\\*'") as exc:
+            materialize(els)
+        assert exc.value.index == 1
 
 
 class TestStreamFormat:

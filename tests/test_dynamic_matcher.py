@@ -147,6 +147,58 @@ class TestRoundWeightMatchesExactWalk:
                 assert round_weight(w, eps) == _walk_round(w, eps), w
 
 
+# ceil(log 2 / log1p(eps)) for the float eps = 1e-300 and 1e-310, from
+# an independent 700-digit evaluation; each lies 0.44 and 0.29 from an
+# integer, so the digits are settled
+T_2_AT_1E_300 = int(
+    "693147180559945292047593268490479584524100728728797249515804906770"
+    "980986621632539100980455589468041783428303189808984667847770767963"
+    "184630020765281332948363661542276462743729083387613420844781087087"
+    "317214613579686059755603085173046288246180227706032541082128011138"
+    "979048061570166123419176812459193079"
+)
+T_2_AT_1E_310 = int(
+    "693147180559947427028482679137520735209177179657338957820795435782"
+    "528041200969487299582317589897425038896776821613230431899815825775"
+    "884974626911352309229381266738904465645263701953349205732751711980"
+    "912060478394897170669211066056016240831377703604982969107935933571"
+    "5685094192369628401169534420423406307767913493"
+)
+
+
+class TestRoundWeightSmallEpsilon:
+    """Where the float estimate is undecided at every weight (eps below
+    about 1e-9) or infinite (a subnormal eps), t is settled in decimal."""
+
+    @pytest.mark.parametrize("w, eps, t", [
+        (22, 1e-6, 3_091_044),
+        (5, 1e-9, 1_609_437_914),
+        (9_582, 1e-4, 91_681),
+        (2, 1e-300, T_2_AT_1E_300),
+        (2, 1e-310, T_2_AT_1E_310),
+        (1, 1e-9, 0),
+        (1, 5e-324, 0),
+    ])
+    def test_exact_t(self, w, eps, t):
+        assert round_weight(w, eps) == t
+
+    def test_at_and_next_to_a_power_of_a_tiny_base(self):
+        eps = 2.0 ** -40
+        for t in (-3, 1, 3):
+            p = _power(eps, t)
+            assert round_weight(p, eps) == t
+            assert round_weight(p + Fraction(1, 10**40), eps) == t + 1
+            assert round_weight(p - Fraction(1, 10**40), eps) == t
+
+    def test_run_dyn_at_a_subnormal_epsilon(self, tmp_path, capsys):
+        from streamkmatch.cli import main
+
+        path = tmp_path / "s.txt"
+        path.write_text("3 1 dyn\n+ 0 1 2\n")
+        assert main(["run-dyn", str(path), "--epsilon", "1e-310"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["0 1 2", "weight 2"]
+
+
 class TestExactMode:
     def test_small_stream_exact(self):
         m = DynamicMatcher(10, 2, random.Random(3))
@@ -515,6 +567,23 @@ class TestApproximation:
             elif got is not NO_K_MATCHING and got.weight >= (1 - eps) * truth.weight:
                 hits += 1
         assert hits >= 0.85 * trials
+
+    def test_weight_past_the_float_range(self):
+        # (1.5)^t of a 400-digit weight overflows a float: keys are
+        # scaled by (1.5)^-top instead
+        m = DynamicMatcher(10, 2, random.Random(8), epsilon=0.5)
+        for e in (Edge(0, 1, 10**400), Edge(2, 3, 10**398), Edge(4, 5, 10**399),
+                  Edge(0, 2, 10**401)):
+            m.process_update(insert(*e))
+        assert m.query().edges == (Edge(4, 5, 10**399), Edge(0, 2, 10**401))
+
+    @pytest.mark.parametrize("eps", [1e-20, 1e-310])
+    def test_weights_count_where_one_plus_epsilon_rounds_to_one(self, eps):
+        # (1.0 + eps) ** t would key every weight as 1.0
+        m = DynamicMatcher(10, 1, random.Random(8), epsilon=eps)
+        m.process_update(insert(0, 1, 2))
+        m.process_update(insert(2, 3, 100))
+        assert m.query().edges == (Edge(2, 3, 100),)
 
     def test_weight_keys_compress(self):
         # thousands of distinct weights collapse into few rounded keys

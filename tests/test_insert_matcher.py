@@ -199,6 +199,16 @@ class TestBudgets:
                 assert m.stored_edges <= m.space_bound
             assert m.peak_stored_edges <= m.space_bound
 
+    def test_missed_deadline_is_an_error(self):
+        # the budget is sized so this never happens: starve it to see it
+        m = InsertMatcher(20, 1, 0.5, random.Random(1))
+        m.budget = 1
+        edges = [Edge(i, i + 1, 1) for i in range(2 * m.segment_size)]
+        for e in edges[:-1]:
+            m.process_insert(e)
+        with pytest.raises(RuntimeError, match="missed its segment deadline"):
+            m.process_insert(edges[-1])
+
     def test_budget_independent_of_stream_position(self):
         # the observed per-insert maximum stabilizes at one constant
         maxima = []
