@@ -50,8 +50,10 @@ Sharing keeps each per-sampler failure bound (a per-cell union bound)
 and buys an order of magnitude on updates.  A matcher sampler's base
 is weight key * d4^2 + pair, so weights need no registry; L0Sampler is
 the grid's single sampler at base 0.  The matcher's payload is the
-true weight, so approximation mode reports exact weights although its
-keys only know the rounded bucket.
+true weight, so a query solves on true weights in both modes.  In
+approximation mode the samples hold, w.h.p., a k-matching that is
+optimal on the rounded keys; its true weight is at least OPT/(1+eps),
+and the true-weight optimum of the samples weighs at least as much.
 """
 
 from __future__ import annotations
@@ -74,10 +76,9 @@ from .core import (
     edge_at_index,
     edge_index,
     halvings,
-    matching_of,
 )
 from .hashing import FIELD_PRIME, build_hash_scheme, random_kwise, scheme_eval
-from .solver import NO_K_MATCHING, max_weight_k_matching
+from .solver import max_weight_k_matching
 
 
 def default_delta(k: int) -> float:
@@ -87,14 +88,16 @@ def default_delta(k: int) -> float:
 def round_weight(w, epsilon: float) -> int:
     """The integer t with (1+eps)^(t-1) < w <= (1+eps)^t, exactly.
 
-    t is ceil(x) for x = log(w) / log1p(eps), and floats give x to
-    within a few units of 1e-16 * (|x| + 1/log1p(eps)): log(w) is off
-    by about 1e-16 * (1 + |log w|) and the division adds a rounding.
-    When x lies farther than 1e-9 * max(|x|, 1/log1p(eps)) from every
-    integer (about a million times that error), the true x lies
-    strictly between the same two integers, so ceil(x) is exact.
-    Otherwise (w at or next to a power of 1+eps, eps below about 1e-9,
-    or x past the float range) `_round_exactly` decides it.
+    t is ceil(x) for x = log(w) / log1p(eps).  The float estimate of x
+    is off by at most 2^-50 * (|x| + 1/log1p(eps)): a w that is not a
+    float turns into one with a relative error of 2^-53, which moves
+    log(w) by 2^-53; the libm log adds up to 2^-52 * |log w|, log1p up
+    to 2^-52 of itself, and the division another 2^-53 of |x|.  When x
+    lies farther than 2^-40 * (|x| + 1/log1p(eps)) from every integer,
+    2^10 times that error, the true x lies strictly between the same
+    two integers, so ceil(x) is exact.  Otherwise (w at or next to a
+    power of 1+eps, eps so small that the margin passes 1, or x past
+    the float range) `_round_exactly` decides it.
     """
     if w <= 0:
         raise InvalidParameter("weight must be positive for rounding")
@@ -104,7 +107,7 @@ def round_weight(w, epsilon: float) -> int:
     x = math.log(w) / lg
     if math.isfinite(x):
         t = math.ceil(x)
-        margin = 1e-9 * max(abs(x), 1 / lg)
+        margin = 2.0 ** -40 * (abs(x) + 1 / lg)
         if t - x > margin and x - (t - 1) > margin:
             return t
     return _round_exactly(Fraction(w), epsilon)
@@ -483,24 +486,8 @@ class DynamicMatcher(CellGrid):
         # (an unvalidated stream may insert a pair twice): order-free
         found, self.last_fail_count = self._decode()
         weights = dict(sorted((eid, wt) for eid, _, wt in found))
-        # solve on key weights, answer with the true ones.  Approximation
-        # mode keys a weight of bucket t as (1+eps)^t and 0 as 0, scaled
-        # by (1+eps)^-top when the top bucket would pass the float range.
-        # Where 1 + eps rounds to 1 the weight is its own key: it lies
-        # within a factor 1 + eps of (1+eps)^t, finer than a float tells.
-        keys = weights
-        if (eps := self.epsilon) is not None and 1.0 + eps > 1:
-            ts = {eid: round_weight(wt, eps) for eid, wt in weights.items() if wt}
-            top = max(ts.values(), default=0)
-            shift = top if top * math.log1p(eps) > 700 else 0
-            keys = {eid: (1.0 + eps) ** (ts[eid] - shift) if wt else 0
-                    for eid, wt in weights.items()}
-        answer = max_weight_k_matching(
-            [Edge(*edge_at_index(eid, self.n), key) for eid, key in keys.items()], self.k)
-        if answer is NO_K_MATCHING:
-            return answer
-        return matching_of(Edge(e.u, e.v, weights[edge_index(e.u, e.v, self.n)])
-                           for e in answer.edges)
+        return max_weight_k_matching(
+            [Edge(*edge_at_index(eid, self.n), wt) for eid, wt in weights.items()], self.k)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -528,6 +528,23 @@ class TestSamplerStats:
         assert stats["negative_samplers"] == 144
 
 
+class TestRoundWeightFastPath:
+    def test_tiny_epsilon_stays_on_the_float_path(self, monkeypatch):
+        # at eps = 1e-9 the float estimate settles all but a few weights
+        eps = 1e-9
+        exact = dynamic_matcher._round_exactly
+        calls = [0]
+
+        def counting(w, epsilon):
+            calls[0] += 1
+            return exact(w, epsilon)
+
+        monkeypatch.setattr(dynamic_matcher, "_round_exactly", counting)
+        for w in range(1, 2_001):
+            assert round_weight(w, eps) == exact(Fraction(w), eps), w
+        assert calls[0] <= 60  # 3% of the calls
+
+
 class TestApproximation:
     def test_zero_weight(self):
         # round_weight(0) has no t; weight 0 gets a key of its own
@@ -569,8 +586,8 @@ class TestApproximation:
         assert hits >= 0.85 * trials
 
     def test_weight_past_the_float_range(self):
-        # (1.5)^t of a 400-digit weight overflows a float: keys are
-        # scaled by (1.5)^-top instead
+        # (1.5)^t of a 400-digit weight overflows a float; the solve
+        # takes the true weights, exact ints
         m = DynamicMatcher(10, 2, random.Random(8), epsilon=0.5)
         for e in (Edge(0, 1, 10**400), Edge(2, 3, 10**398), Edge(4, 5, 10**399),
                   Edge(0, 2, 10**401)):
@@ -579,11 +596,30 @@ class TestApproximation:
 
     @pytest.mark.parametrize("eps", [1e-20, 1e-310])
     def test_weights_count_where_one_plus_epsilon_rounds_to_one(self, eps):
-        # (1.0 + eps) ** t would key every weight as 1.0
+        # 1.0 + eps rounds to 1, yet the solve tells the weights apart
         m = DynamicMatcher(10, 1, random.Random(8), epsilon=eps)
         m.process_update(insert(0, 1, 2))
         m.process_update(insert(2, 3, 100))
         assert m.query().edges == (Edge(2, 3, 100),)
+
+    def test_query_rounds_no_weight(self, monkeypatch):
+        real = dynamic_matcher.round_weight
+        calls = [0]
+
+        def counting(w, epsilon):
+            calls[0] += 1
+            return real(w, epsilon)
+
+        monkeypatch.setattr(dynamic_matcher, "round_weight", counting)
+        m = DynamicMatcher(16, 2, random.Random(8), epsilon=0.25)
+        stream = gen_random_stream(16, 2, 30, seed=21, mode="dyn", deletes=8,
+                                   weight_min=1, weight_max=1_000)
+        for el in stream.elements:
+            m.process_update(el)
+        assert calls[0] == len(stream.elements)  # every update rounds
+        calls[0] = 0
+        assert m.query() is not NO_K_MATCHING
+        assert calls[0] == 0
 
     def test_weight_keys_compress(self):
         # thousands of distinct weights collapse into few rounded keys

@@ -315,3 +315,38 @@ class TestAgainstReferenceMachine:
                 steps.append(spent[0] - before)
             assert steps == ref.steps
             assert max(steps) == m.max_steps_per_insert
+
+
+class TestQueryChangesNoState:
+    def test_queried_matcher_steps_like_an_unqueried_twin(self, monkeypatch):
+        spent = [0]
+        solves = [0]
+
+        class Counting(ReducerState):
+            def step_upto(self, limit):
+                used = super().step_upto(limit)
+                spent[0] += used
+                return used
+
+        def counting_solve(edges, k):
+            solves[0] += 1
+            return max_weight_k_matching(edges, k)
+
+        monkeypatch.setattr(insert_matcher, "ReducerState", Counting)
+        monkeypatch.setattr(insert_matcher, "max_weight_k_matching", counting_solve)
+        for seed, (n, k, eps) in enumerate([(40, 3, 1 / 16), (30, 2, 0.25), (50, 4, 0.5)]):
+            stream = gen_random_stream(n, k, 3 * 4 * k * k + 5, seed=9_100 + seed)
+            runs = []
+            for queried in (True, False):
+                m = InsertMatcher(n, k, eps, random.Random(seed))
+                steps = []
+                for el in stream.elements:
+                    before = spent[0]
+                    m.process_insert(el.edge)
+                    if queried:
+                        solves[0] = 0
+                        m.query()
+                        assert solves[0] == 1  # one solve, whatever the hashes
+                    steps.append(spent[0] - before)
+                runs.append((steps, m.max_steps_per_insert, m.boundary_sketches()))
+            assert runs[0] == runs[1]
