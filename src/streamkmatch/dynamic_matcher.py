@@ -461,7 +461,7 @@ class DynamicMatcher(CellGrid):
                 "weights to integers, and set epsilon to round a wide range "
                 "into few weight keys"
             )
-        if not (0 <= u < v < self.n and w >= 0):
+        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < v < self.n and w >= 0):
             raise MalformedStream(self.updates, f"bad edge ({u}, {v}, {w})")
         if self._live is not None:
             apply_update(self._live, self.updates, u, v, w, op)

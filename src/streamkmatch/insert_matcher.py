@@ -62,24 +62,32 @@ class InsertMatcher:
         return len(self.hashes) * 12 * self.k * self.k + 4 * self.k * self.k
 
     def process_insert(self, e: Edge) -> None:
-        # the weight test also refuses nan, which compares false
-        if not (0 <= e.u < e.v < self.n and 0 <= e.wt < _INF):
+        u, v, wt = e
+        try:
+            # refuses nan, which compares false, and raises on a weight
+            # that is not a number
+            ok = 0 <= wt < _INF
+        except TypeError:
+            ok = False
+        if not (ok and isinstance(u, int) and isinstance(v, int) and 0 <= u < v < self.n):
             raise MalformedStream(self.arrivals, f"bad edge {e}")
         self.filling.append(e)
         self.arrivals += 1
         self.stored_edges += 1
-        remaining = self.budget
-        executed = 0
-        for red in self.reducers:
-            if red.done:
-                continue
-            used = red.step_upto(remaining)
-            executed += used
-            remaining -= used
-            if remaining == 0:
-                break
-        if executed > self.max_steps_per_insert:
-            self.max_steps_per_insert = executed
+        # reductions finish in order, so all are done once the last is
+        if self.reducers and not self.reducers[-1].done:
+            remaining = self.budget
+            executed = 0
+            for red in self.reducers:
+                if red.done:
+                    continue
+                used = red.step_upto(remaining)
+                executed += used
+                remaining -= used
+                if remaining == 0:
+                    break
+            if executed > self.max_steps_per_insert:
+                self.max_steps_per_insert = executed
         if self.arrivals % self.segment_size == 0:
             self._rotate()
         if self.stored_edges > self.peak_stored_edges:

@@ -20,20 +20,27 @@ fixed per-arrival budget.  One unit is one element touch: one per input
 edge, one per tagged edge, one per bucket pair when bucketing it, the
 units of each bucket's top-2k selection, one per edge a bucket keeps,
 one per bucket pair when collecting the survivors, and the units of the
-global top-4k^2 selection.  `step_upto(limit)` resumes the machine with
-one `send(limit)`; the machine yields only when the limit is spent and
-work remains.  Every slice of real work, each list slice and dict walk
+global top-4k^2 selection.  The units bound the touches the machine
+really makes from above.  A bucket of at most 2k entries keeps them
+all, so it is charged its 2n units for O(1) work; an over-full bucket
+records the entries it cuts during the charged keep pass of its
+selection, as None in their pair's slot, and the survivors are the
+pairs no bucket cut.  `step_upto(limit)` resumes the machine with one
+`send(limit)`; the machine yields only when the limit is spent and work
+remains.  Every slice of real work, each list slice and dict walk
 included, belongs to a charged slice of units, and the uncharged work
 between two slices is O(1) (a resume passes through at most the
-select's recursion depth, O(log k) frames), so a call that returns u
-does O(u + 1) work, and an arrival, which resumes at most one machine
-per hash, does O(budget + hashes) work.
+select's recursion depth, O(log k) frames), so each resume that returns
+u still does O(u + 1) work, and an arrival, which resumes at most one
+machine per hash, does O(budget + hashes) work.
 
 The machine works on entries (wt, u, v, code, edge): their natural
 order is the edge heaviness order beta = (wt, u, v), and code = i*r + j
-names the bucket pair i < j.  The entries a reduction keeps (`kept`)
-can be carried into the next reduction under the same hash, which then
-takes them without hashing their endpoints again.
+names the bucket pair i < j.  Bucketing evaluates f inline from its
+coefficients (f.a, f.b, f.r), the value f(u) gives without a call per
+endpoint.  The entries a reduction keeps (`kept`) can be carried into
+the next reduction under the same hash, which then takes them without
+hashing their endpoints again.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from collections import defaultdict
 from itertools import islice
 
 from .core import InvalidParameter
-from .hashing import UniversalHash, random_universal
-from .selection import _touch, top_t_steps, walk
+from .hashing import FIELD_PRIME, UniversalHash, random_universal
+from .selection import _touch, pay, select_steps, top_t_steps, walk
 
 # Calibrated unit constant: a full reduction of m edges spends at most
 # C_RED * (m + k^2) units.  Pinned by a calibration test.
@@ -101,15 +108,16 @@ class ReducerState:
 
     def _run(self):
         budget = yield
-        f, r = self.f, self.f.r
+        a, b, r, p = self.f.a, self.f.b, self.f.r, FIELD_PRIME
         edges, carry = self.edges, self.carry
         cap_bucket = 2 * self.k
         cap_global = 4 * self.k * self.k
 
         # phases 1 and 2: the heaviest entry per bucket pair.  Carried
         # entries hold distinct pairs already; new edges are bucketed
-        # straight in, and intra-bucket ones dropped.  Each tagged entry
-        # (carried or crossing) costs one more unit after bucketing.
+        # straight in, with f evaluated inline, and intra-bucket ones
+        # dropped.  Each tagged entry (carried or crossing) costs one
+        # more unit after bucketing.
         best = {}
         crossing = 0
 
@@ -121,55 +129,74 @@ class ReducerState:
             nonlocal crossing
             for e in edges[pos:end]:
                 u, v, wt = e
-                i, j = f(u), f(v)
+                i = (a * u + b) % p % r
+                j = (a * v + b) % p % r
                 if i == j:
                     continue
-                x = (wt, u, v, i * r + j, e) if i < j else (wt, u, v, j * r + i, e)
+                code = i * r + j if i < j else j * r + i
                 crossing += 1
-                cur = best.get(x[3])
-                if cur is None or x > cur:
-                    best[x[3]] = x
+                cur = best.get(code)
+                # (wt, u, v) beats cur iff the entry would: a tie on
+                # beta is the same pair and the same edge
+                if cur is None or (wt, u, v) > cur:
+                    best[code] = (wt, u, v, code, e)
 
-        budget = yield from walk(len(carry), budget, carried)
-        budget = yield from walk(len(edges), budget, bucketed)
-        budget = yield from walk(len(carry) + crossing, budget, _touch)
+        n = len(carry)
+        budget = (pay(n, budget, carried) if n <= budget
+                  else (yield from walk(n, budget, carried)))
+        n = len(edges)
+        budget = (pay(n, budget, bucketed) if n <= budget
+                  else (yield from walk(n, budget, bucketed)))
+        n = len(carry) + crossing
+        budget = pay(n, budget) if n <= budget else (yield from walk(n, budget))
 
         # phase 3: per bucket, keep only the 2k heaviest incident
-        # entries; an entry survives iff kept by both of its buckets
+        # entries; an entry survives iff neither of its buckets cuts
+        # it, and a cut entry's slot in best is set to None
         buckets = defaultdict(list)
         pairs = iter(best.values())
 
         def spread(pos, end):
             for x in islice(pairs, end - pos):
-                i, j = divmod(x[3], r)
-                buckets[i].append(x)
-                buckets[j].append(x)
+                code = x[3]
+                buckets[code // r].append(x)
+                buckets[code % r].append(x)
 
-        budget = yield from walk(len(best), budget, spread)
-        marks = {}
+        n = len(best)
+        budget = (pay(n, budget, spread) if n <= budget
+                  else (yield from walk(n, budget, spread)))
 
-        def mark(pos, end):
-            for x in kept[pos:end]:
-                marks[x[3]] = marks.get(x[3], 0) + 1
+        def cut(pos, end):
+            # positions past the bucket's end are its kept entries'
+            # marks, which slice to nothing
+            for x in incident[pos:end]:
+                if x < threshold:
+                    best[x[3]] = None
 
-        for kept in buckets.values():
-            n = len(kept)
-            if n <= cap_bucket and 2 * n <= budget:
-                # the bucket's n touches and n marks fit in one slice
-                budget -= 2 * n
-                mark(0, n)
-                continue
-            kept, budget = yield from top_t_steps(kept, cap_bucket, budget)
-            budget = yield from walk(len(kept), budget, mark)
-        buckets = kept = None  # each phase frees its lists as it ends
+        for incident in buckets.values():
+            n = len(incident)
+            if n <= cap_bucket:
+                # n touches and n marks, and nothing to cut
+                n, visit = 2 * n, _touch
+            else:
+                # select the threshold, then one keep pass that cuts
+                # the lighter entries, then 2k marks
+                threshold, budget = yield from select_steps(
+                    incident, n - cap_bucket, budget)
+                n, visit = n + cap_bucket, cut
+            budget = (pay(n, budget, visit) if n <= budget
+                      else (yield from walk(n, budget, visit)))
+        buckets = incident = None  # each phase frees its lists as it ends
         survivors = []
         pairs = iter(best.values())
 
         def survive(pos, end):
-            survivors.extend([x for x in islice(pairs, end - pos) if marks.get(x[3]) == 2])
+            survivors.extend(filter(None, islice(pairs, end - pos)))
 
-        budget = yield from walk(len(best), budget, survive)
-        best = marks = None
+        n = len(best)
+        budget = (pay(n, budget, survive) if n <= budget
+                  else (yield from walk(n, budget, survive)))
+        best = None
 
         # phase 4: keep the 4k^2 heaviest overall
         self.kept, budget = yield from top_t_steps(survivors, cap_global, budget)

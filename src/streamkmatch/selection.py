@@ -13,10 +13,12 @@ reducer follows too:
   * it returns (result, leftover units), so routines chain as
     `result, budget = yield from routine(..., budget)`.
 
-Between two charged slices a routine does O(1) uncharged work (sorting
-a group of five, the sort of at most ten items that ends a select,
-starting a recursion level), so one resumption that is sent u units
-does O(u + 1) work.
+A pass of n units is charged by one rule: `pay` when the budget covers
+all n of them (one slice, no generator), `walk` when it may have to
+yield.  Between two charged slices a routine does O(1) uncharged work
+(sorting a group of five, the sort of at most ten items that ends a
+select, starting a recursion level), so one resumption that is sent u
+units does O(u + 1) work.
 
 Items are compared in their natural order and must be pairwise
 distinct, which keeps the three-way pivot split trivial.
@@ -25,10 +27,22 @@ distinct, which keeps the three-way pivot split trivial.
 from __future__ import annotations
 
 
-def walk(n: int, budget: int, visit):
+def _touch(pos: int, end: int) -> None:
+    """A visit whose only work is the touch itself."""
+
+
+def pay(n: int, budget: int, visit=_touch) -> int:
+    """The pass over [0, n) in one slice, for a budget of at least n:
+    visit(0, n), and the leftover budget."""
+    visit(0, n)
+    return budget - n
+
+
+def walk(n: int, budget: int, visit=_touch):
     """Spend one unit per position in [0, n): call visit(pos, end) on
     consecutive slices, each as long as the budget allows.  Returns the
-    leftover budget."""
+    leftover budget.  Callers whose budget covers n call `pay` instead
+    and skip the generator."""
     pos = 0
     while pos < n:
         if not budget:
@@ -40,10 +54,6 @@ def walk(n: int, budget: int, visit):
     return budget
 
 
-def _touch(pos: int, end: int) -> None:
-    """A visit whose only work is the touch itself."""
-
-
 def select_steps(items, rank: int, budget: int):
     """Median of medians (Blum, Floyd, Pratt, Rivest & Tarjan 1973):
     the item of the given ascending rank (0-based), and the leftover
@@ -51,7 +61,7 @@ def select_steps(items, rank: int, budget: int):
     while True:
         n = len(items)
         if n <= 10:
-            budget = yield from walk(n, budget, _touch)
+            budget = pay(n, budget) if n <= budget else (yield from walk(n, budget))
             return sorted(items)[rank], budget
         medians = []
 
@@ -62,7 +72,8 @@ def select_steps(items, rank: int, budget: int):
                 five = sorted(items[g : g + 5])
                 medians.append(five[len(five) // 2])
 
-        budget = yield from walk(n, budget, group)
+        budget = (pay(n, budget, group) if n <= budget
+                  else (yield from walk(n, budget, group)))
         pivot, budget = yield from select_steps(medians, len(medians) // 2, budget)
         lows, highs = [], []
 
@@ -71,7 +82,8 @@ def select_steps(items, rank: int, budget: int):
             lows.extend([x for x in chunk if x < pivot])
             highs.extend([x for x in chunk if x > pivot])
 
-        budget = yield from walk(n, budget, split)
+        budget = (pay(n, budget, split) if n <= budget
+                  else (yield from walk(n, budget, split)))
         if rank < len(lows):
             items = lows
         elif rank == len(lows):
@@ -88,7 +100,7 @@ def top_t_steps(items, t: int, budget: int):
         return [], budget
     n = len(items)
     if n <= t:
-        budget = yield from walk(n, budget, _touch)
+        budget = pay(n, budget) if n <= budget else (yield from walk(n, budget))
         return items, budget
     # threshold = smallest item of the top t block
     threshold, budget = yield from select_steps(items, n - t, budget)
@@ -97,5 +109,6 @@ def top_t_steps(items, t: int, budget: int):
     def keep(pos, end):
         picked.extend([x for x in items[pos:end] if x >= threshold])
 
-    budget = yield from walk(n, budget, keep)
+    budget = (pay(n, budget, keep) if n <= budget
+              else (yield from walk(n, budget, keep)))
     return picked, budget

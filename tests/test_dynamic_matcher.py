@@ -295,7 +295,8 @@ class TestMatcherDoor:
 
     def test_non_canonical_endpoints_rejected(self):
         m = DynamicMatcher(10, 1, random.Random(6))
-        for u, v in ((5, 3), (4, 4), (-1, 2)):
+        # a float vertex once reached edge_index and raised a bare TypeError
+        for u, v in ((5, 3), (4, 4), (-1, 2), (0.5, 1), (0, 1.0), ("0", 1)):
             for op in (INSERT, DELETE):
                 with pytest.raises(MalformedStream):
                     m.process_update(StreamElement(Edge(u, v, 1), op))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,14 +91,16 @@ class TestFirstSegment:
 class TestMatcherDoor:
     def test_out_of_range_and_non_canonical_endpoints_rejected(self):
         m = InsertMatcher(10, 1, 0.25, random.Random(6))
-        for u, v in ((3, 12), (3, 10), (5, 3), (4, 4), (-1, 2)):
+        # a float vertex was once hashed and stored
+        for u, v in ((3, 12), (3, 10), (5, 3), (4, 4), (-1, 2), (0.5, 1), (0, 1.0), ("0", 1)):
             with pytest.raises(MalformedStream):
                 m.process_insert(Edge(u, v, 5))
         assert m.arrivals == 0 and m.query() is NO_K_MATCHING
         m.process_insert(Edge(3, 9, 5))
         assert m.query().edges == (Edge(3, 9, 5),)
 
-    @pytest.mark.parametrize("wt", [-3, -0.5, math.nan, math.inf, -math.inf])
+    # a str or None weight once raised a bare TypeError
+    @pytest.mark.parametrize("wt", [-3, -0.5, math.nan, math.inf, -math.inf, "5", None, 1j])
     def test_bad_weight_rejected(self, wt):
         m = InsertMatcher(10, 1, 0.25, random.Random(6))
         with pytest.raises(MalformedStream):
@@ -108,6 +111,9 @@ class TestMatcherDoor:
         m = InsertMatcher(10, 1, 0.25, random.Random(6))
         m.process_insert(Edge(0, 1, 0))
         m.process_insert(Edge(2, 3, 2.5))
+        m.process_insert(Edge(4, 5, True))
+        m.process_insert(Edge(6, 7, Fraction(3, 2)))
+        assert m.arrivals == 4
         assert m.query().edges == (Edge(2, 3, 2.5),)
 
 

@@ -12,7 +12,15 @@ import random
 
 import pytest
 
-from streamkmatch import Edge, InsertMatcher, dynamic_matcher, hashing, insert_matcher, reducer
+from streamkmatch import (
+    Edge,
+    InsertMatcher,
+    ReducerState,
+    dynamic_matcher,
+    hashing,
+    insert_matcher,
+    reducer,
+)
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -46,3 +54,29 @@ def test_install_then_uninstall_restores_every_patched_name(tracing):
         tracer.uninstall()
     for m, names in zip(MODULES, before):
         assert {n: v for n, v in vars(m).items() if n in names} == names, m.__name__
+
+
+def test_traced_reducer_steps_equal_the_untraced_units(tracing):
+    # k = 1, eps = 1/2: one hash, segments of 4 arrivals, 79 units per
+    # arrival; three arrivals after the last boundary finish its reduction
+    edges = [Edge(i, i + 1 + i % 3, i % 7) for i in range(23)]
+    plain = InsertMatcher(30, 1, 0.5, random.Random(2))
+    generations = []
+    for e in edges:
+        plain.process_insert(e)
+        if plain.reducers and not (generations and plain.reducers is generations[-1]):
+            generations.append(plain.reducers)
+    assert len(generations) == 5 and all(red.done for red in plain.reducers)
+    units = sum(ReducerState(red.edges, red.f, red.k, red.carry).step_upto(1 << 30)
+                for reducers in generations for red in reducers)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        m = InsertMatcher(30, 1, 0.5, random.Random(2))
+        for e in edges:
+            m.process_insert(e)
+        assert type(m.reducers[0]).__name__ == "TracedReducerState"
+    finally:
+        tracer.uninstall()
+    assert units > 0
+    assert tracer.counted(None, "reducer.steps") == units

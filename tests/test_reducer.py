@@ -7,9 +7,11 @@ import pytest
 from reducer_reference import ReferenceReducer, compact_subgraph
 from streamkmatch import (
     C_RED,
+    FIELD_PRIME,
     Edge,
     InvalidParameter,
     ReducerState,
+    UniversalHash,
     new_vertex_partition,
     reduce,
 )
@@ -89,8 +91,7 @@ class TestCompactSubgraph:
             assert sorted(got) == sorted(best.values())
 
     def test_drops_intra_bucket_edges(self):
-        f = lambda x: 0  # noqa: E731
-        f = type("F", (), {"r": 4, "__call__": lambda s, x: 0})()
+        f = UniversalHash(0, 0, 4)  # every vertex to bucket 0
         assert compact_subgraph([Edge(0, 1, 5)], f) == []
 
     def test_at_most_one_per_pair(self):
@@ -131,14 +132,7 @@ class TestReduce:
         # one bucket joined to 2k+1 distinct other buckets: the 2k
         # heaviest spokes survive the per-bucket trim
         k = 2
-
-        class F:
-            r = 4 * k * k
-
-            def __call__(self, x):
-                return x  # identity partition: vertex i -> bucket i
-
-        f = F()
+        f = UniversalHash(1, 0, 4 * k * k)  # identity partition: vertex i -> bucket i
         hub = 0
         spokes = [Edge(hub, i, 10 + i) for i in range(1, 2 * k + 2)]
         got = set(reduce(spokes, f, k))
@@ -229,14 +223,9 @@ class TestReducerState:
             assert set(state.output) == set(reduce(edges, f, k))
 
 
-class _Identity:
-    """Vertex i goes to bucket i."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def __call__(self, x):
-        return x
+def _identity(r):
+    """Vertex i < r goes to bucket i."""
+    return UniversalHash(1, 0, r)
 
 
 def _random_multigraph(rng, n, m, weights):
@@ -283,22 +272,37 @@ class TestSameAccounting:
 
     def test_intra_bucket_edges(self):
         rng = random.Random(16)
-        one_bucket = type("F", (), {"r": 4, "__call__": lambda s, x: 0})()
+        one_bucket = UniversalHash(0, 0, 4)  # every vertex to bucket 0
         edges = _random_multigraph(rng, 20, 50, [1, 2])
         ours, _ = self._assert_same(rng, edges, one_bucket, 1)
         assert ours.output == []
-        two_buckets = type("F", (), {"r": 16, "__call__": lambda s, x: x % 2})()
+        two_buckets = UniversalHash(8, 0, 16)  # x -> 8 * (x mod 2)
         for k in (1, 2, 3, 4):
             self._assert_same(rng, _random_multigraph(rng, 30, 80, [1, 2, 3]), two_buckets, k)
 
     def test_buckets_over_2k_take_the_select_path(self):
         rng = random.Random(17)
         for k in (1, 2, 3, 4):
-            f = _Identity(4 * k * k)
+            f = _identity(4 * k * k)
             # two hubs, each joined to every other bucket: far more than
             # 2k incident pairs per hub bucket
             edges = [Edge(min(h, b), max(h, b), rng.choice([1, 2, rng.randint(1, 99)]))
                      for h in (0, 1) for b in range(f.r) if b != h]
+            rng.shuffle(edges)
+            self._assert_same(rng, edges, f, k)
+
+    def test_vertex_ids_at_the_field_edge(self):
+        # the machine evaluates f inline and the reference calls f(u),
+        # so ids at and past the prime pin the inline formula to
+        # UniversalHash.__call__
+        ids = [0, 1, FIELD_PRIME - 1, FIELD_PRIME, FIELD_PRIME + 1, 2 * FIELD_PRIME + 5,
+               1 << 64, (1 << 64) + 1, (1 << 100) + 3]
+        pairs = [(u, v) for u in ids for v in ids if u < v]
+        rng = random.Random(20)
+        for trial in range(60):
+            k = trial % 4 + 1
+            f = new_vertex_partition(k, rng)
+            edges = [Edge(u, v, rng.randint(1, 9)) for u, v in pairs]
             rng.shuffle(edges)
             self._assert_same(rng, edges, f, k)
 
