@@ -22,6 +22,7 @@ from .core import (
     delete,
     edge,
     edge_at_index,
+    edge_fault,
     edge_index,
     insert,
     materialize,

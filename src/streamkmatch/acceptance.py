@@ -14,7 +14,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .core import Edge, InvalidParameter, edge_at_index, materialize
+from .core import Edge, InvalidParameter, edge, edge_at_index, materialize
 from .dynamic_matcher import FAIL, DynamicMatcher, L0Sampler
 from .generators import (
     bipartite_matching_size,
@@ -159,9 +159,7 @@ def criterion_3():
             v = rng.randrange(n - 1)
             if v >= u:
                 v += 1
-            if u > v:
-                u, v = v, u
-            matcher.process_insert(Edge(u, v, rng.randint(1, 10_000)))
+            matcher.process_insert(edge(u, v, rng.randint(1, 10_000)))
         maxima.append(matcher.max_steps_per_insert)
     ok = len(set(maxima)) == 1 and maxima[0] <= budget
     return ok, f"per-insert micro-step maxima {maxima}, budget {budget}"

@@ -66,24 +66,45 @@ class Edge(NamedTuple):
         return (self.wt, self.u, self.v)
 
 
-def edge(u: int, v: int, wt: Number) -> Edge:
-    """Build a canonical edge (u < v); rejects self-loops and weights
-    outside [0, inf)."""
-    if u == v:
-        raise InvalidParameter(f"self-loop at vertex {u}")
-    if not 0 <= wt < math.inf:
-        raise InvalidParameter(f"bad weight {wt}")
-    if u > v:
-        u, v = v, u
-    if u < 0:
-        raise InvalidParameter(f"negative vertex id {u}")
+def require_int(name: str, value, least: int) -> None:
+    """Raise InvalidParameter unless value is an int >= least."""
+    if not (isinstance(value, int) and value >= least):
+        raise InvalidParameter(f"{name}={value!r} must be an int >= {least}")
+
+
+def edge_fault(u, v, wt=0, n=math.inf):
+    """The edge rule: None if u, v are ints with 0 <= u < v < n and wt is
+    a number in [0, inf), else the reason.  The default weight passes,
+    so edge_fault(u, v, n=n) checks the endpoints alone."""
+    if not (isinstance(u, int) and isinstance(v, int)):
+        return f"vertex ids ({u!r}, {v!r}) are not ints"
+    if not 0 <= u < v < n:
+        return (f"self-loop at vertex {u}" if u == v
+                else f"vertex pair ({u}, {v}) is not 0 <= u < v < n for n={n}")
+    try:
+        if 0 <= wt < math.inf:  # false for nan
+            return None
+    except TypeError:
+        pass
+    return f"weight {wt!r} is not a number in [0, inf)"
+
+
+def edge(u: int, v: int, wt: Number, n=math.inf) -> Edge:
+    """A canonical edge, a reversed pair swapped, or InvalidParameter."""
+    try:
+        if u > v:
+            u, v = v, u
+    except TypeError:  # ids that do not compare, which the rule names
+        pass
+    if (fault := edge_fault(u, v, wt, n)) is not None:
+        raise InvalidParameter(fault)
     return Edge(u, v, wt)
 
 
 def edge_index(u: int, v: int, n: int) -> int:
     """Number a canonical edge into [0, n(n-1)/2)."""
-    if not (0 <= u < v < n):
-        raise InvalidParameter(f"({u}, {v}) is not a canonical pair under n={n}")
+    if (fault := edge_fault(u, v, n=n)) is not None:
+        raise InvalidParameter(fault)
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
@@ -175,23 +196,16 @@ def apply_update(live: dict, pos: int, u: int, v: int, wt: Number, op: str) -> N
         raise MalformedStream(pos, f"unknown op {op!r}")
 
 
-def materialize(elements: Sequence[StreamElement], n=None) -> list:
-    """Replay a stream and return the live edge set.
-
-    Raises MalformedStream (with the position of the first violation) on
-    self-loops, vertices outside [0, n), weights outside [0, inf), and
-    every violation apply_update rejects.
-    """
+def materialize(elements: Sequence[StreamElement], n=math.inf) -> list:
+    """Replay a stream and return the live edge set; MalformedStream at
+    the first element the edge rule (under n) or apply_update refuses."""
     live = {}
     for pos, (e, op) in enumerate(elements):
-        if e.u == e.v:
-            raise MalformedStream(pos, f"self-loop at vertex {e.u}")
-        u, v = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        if u < 0 or (n is not None and v >= n):
-            raise MalformedStream(pos, f"vertex out of range in ({e.u}, {e.v})")
-        if not 0 <= e.wt < math.inf:
-            raise MalformedStream(pos, f"bad weight {e.wt}")
-        apply_update(live, pos, u, v, e.wt, op)
+        try:
+            u, v, wt = edge(*e, n)
+        except InvalidParameter as exc:
+            raise MalformedStream(pos, str(exc)) from None
+        apply_update(live, pos, u, v, wt, op)
     return [Edge(u, v, w) for (u, v), w in sorted(live.items())]
 
 
@@ -233,8 +247,8 @@ def read_stream(source) -> Stream:
             n, k, mode = int(header[0]), int(header[1]), header[2]
         except ValueError:
             raise MalformedStream(-1, f"bad header {header!r}") from None
-        if n < 0:
-            raise MalformedStream(-1, f"vertex count n={n} must be >= 0")
+        if n < 0 or k < 0:
+            raise MalformedStream(-1, f"header sizes n={n}, k={k} must be >= 0")
         if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
             raise MalformedStream(-1, f"unknown mode {mode!r}")
         elements = []

@@ -74,8 +74,10 @@ from .core import (
     StreamElement,
     apply_update,
     edge_at_index,
+    edge_fault,
     edge_index,
     halvings,
+    require_int,
 )
 from .hashing import FIELD_PRIME, build_hash_scheme, random_kwise, scheme_eval
 from .solver import max_weight_k_matching
@@ -99,8 +101,8 @@ def round_weight(w, epsilon: float) -> int:
     power of 1+eps, eps so small that the margin passes 1, or x past
     the float range) `_round_exactly` decides it.
     """
-    if w <= 0:
-        raise InvalidParameter("weight must be positive for rounding")
+    if not 0 < w < math.inf:
+        raise InvalidParameter(f"weight {w!r} must be positive and finite for rounding")
     if not (0 < epsilon < 1):
         raise InvalidParameter("epsilon must lie in (0, 1)")
     lg = math.log1p(epsilon)
@@ -393,8 +395,8 @@ class L0Sampler(CellGrid):
     """One l0-sampler: the grid's sampler at base 0, payload 0."""
 
     def update(self, index: int, delta: int) -> None:
-        if not (0 <= index < self.universe):
-            raise InvalidParameter(f"index {index} outside universe")
+        if not (isinstance(index, int) and 0 <= index < self.universe):
+            raise InvalidParameter(f"index {index!r} is not an int in [0, {self.universe})")
         if not isinstance(delta, int) or abs(delta) >= 1 << (_C0_BITS - 1):
             raise InvalidParameter(f"multiplicity {delta!r} must be an int of size < 2^63")
         if delta:
@@ -424,10 +426,8 @@ class L0Sampler(CellGrid):
 
 class DynamicMatcher(CellGrid):
     def __init__(self, n: int, k: int, rng, epsilon=None, delta=None, validate=False):
-        if k < 1:
-            raise InvalidParameter("k must be >= 1")
-        if n < 2 * k:
-            raise InvalidParameter(f"n={n} cannot host a {k}-matching")
+        require_int("k", k, 1)
+        require_int("n", n, 2 * k)  # room for a k-matching
         if epsilon is not None and not (0 < epsilon < 1):
             raise InvalidParameter("epsilon must lie in (0, 1)")
         self.n = n
@@ -461,8 +461,8 @@ class DynamicMatcher(CellGrid):
                 "weights to integers, and set epsilon to round a wide range "
                 "into few weight keys"
             )
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < v < self.n and w >= 0):
-            raise MalformedStream(self.updates, f"bad edge ({u}, {v}, {w})")
+        if (fault := edge_fault(u, v, w, self.n)) is not None:
+            raise MalformedStream(self.updates, fault)
         if self._live is not None:
             apply_update(self._live, self.updates, u, v, w, op)
         key_w = w

@@ -19,14 +19,10 @@ optimal one.  A query changes no state.
 
 from __future__ import annotations
 
-import math
-
-from .core import Edge, InvalidParameter, MalformedStream, halvings
+from .core import Edge, InvalidParameter, MalformedStream, edge_fault, halvings, require_int
 # perfbench/tracing.py patches `reduce` here when it traces a run
 from .reducer import C_RED, ReducerState, new_vertex_partition, reduce  # noqa: F401
 from .solver import max_weight_k_matching
-
-_INF = math.inf
 
 
 def step_budget(k: int, epsilon: float) -> int:
@@ -38,8 +34,8 @@ def step_budget(k: int, epsilon: float) -> int:
 
 class InsertMatcher:
     def __init__(self, n: int, k: int, epsilon: float, rng):
-        if k < 1:
-            raise InvalidParameter("k must be >= 1")
+        require_int("n", n, 0)
+        require_int("k", k, 1)
         if not (0 < epsilon < 1):
             raise InvalidParameter("epsilon must lie in (0, 1)")
         self.n = n
@@ -63,14 +59,8 @@ class InsertMatcher:
 
     def process_insert(self, e: Edge) -> None:
         u, v, wt = e
-        try:
-            # refuses nan, which compares false, and raises on a weight
-            # that is not a number
-            ok = 0 <= wt < _INF
-        except TypeError:
-            ok = False
-        if not (ok and isinstance(u, int) and isinstance(v, int) and 0 <= u < v < self.n):
-            raise MalformedStream(self.arrivals, f"bad edge {e}")
+        if (fault := edge_fault(u, v, wt, self.n)) is not None:
+            raise MalformedStream(self.arrivals, fault)
         self.filling.append(e)
         self.arrivals += 1
         self.stored_edges += 1

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import itemgetter
 
-from .core import InfeasibleSize, InvalidParameter, Matching, Sentinel
+from .core import InfeasibleSize, Matching, Sentinel, require_int
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -62,8 +62,7 @@ def preference(answer: Matching) -> tuple:
 
 def max_weight_k_matching(edges, k: int):
     """Best matching of exactly k edges, or NO_K_MATCHING."""
-    if k < 0:
-        raise InvalidParameter("k must be >= 0")
+    require_int("k", k, 0)
     if k == 0:
         return Matching(())
     # best first: heaviest, then smallest (u, v), as reverse=True keeps
@@ -136,8 +135,7 @@ def brute_force_oracle(edges, k: int):
         raise InfeasibleSize(
             f"{len(edges)} edges exceeds the enumeration cap {BRUTE_FORCE_EDGE_LIMIT}"
         )
-    if k < 0:
-        raise InvalidParameter("k must be >= 0")
+    require_int("k", k, 0)
     matchings = (
         Matching(tuple(sorted(combo, key=lambda e: e.beta)))
         for combo in combinations(edges, k)

@@ -72,6 +72,12 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=-5" in err
 
+    def test_negative_k_exit_2(self, capsys):
+        # the header "5 -3 ins" was written, then refused by every reader
+        code, out = run_cli("gen", "--n", "5", "--k", "-3", "--edges", "2")
+        assert code == 2 and out == ""
+        assert "k=-3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["--family", "random"],
         ["--family", "partial-max", "--values", "3,x"],
@@ -248,6 +254,15 @@ class TestBadInput:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=-5" in err
+
+    @pytest.mark.parametrize("command", ["run-ins", "oracle"])
+    def test_negative_k_header_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_text("5 -3 ins\n+ 0 1 2\n")
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k=-3" in err
 
     @pytest.mark.parametrize("text", [
         "6 1 ins\n+ 0 1 x\n",

@@ -220,6 +220,8 @@ class TestStreamFormat:
             read_stream(io.StringIO("4 1 nope\n+ 0 1 2\n"))
         with pytest.raises(MalformedStream):
             read_stream(io.StringIO("4 x ins\n+ 0 1 2\n"))
+        with pytest.raises(MalformedStream, match="k=-3"):
+            read_stream(io.StringIO("5 -3 ins\n+ 0 1 2\n"))
 
     def test_delete_rejected_in_insert_mode(self):
         with pytest.raises(MalformedStream):

@@ -53,6 +53,10 @@ class TestParameters:
             DynamicMatcher(30, 2, random.Random(1), epsilon=1.5)
         with pytest.raises(InvalidParameter):
             DynamicMatcher(30, 2, random.Random(1), delta=0.0)
+        # a float n once raised an AttributeError, a float k was accepted
+        for n, k in ((10.5, 1), (10, 1.5)):
+            with pytest.raises(InvalidParameter):
+                DynamicMatcher(n, k, random.Random(1))
 
     def test_many_repetitions_keep_cell_keys_apart(self):
         # k >= 7 at the default delta needs 17+ repetitions; the packed
@@ -102,6 +106,10 @@ class TestRoundWeight:
             round_weight(0, 0.5)
         with pytest.raises(InvalidParameter):
             round_weight(5, 0.0)
+        # once a ValueError and an OverflowError from the exact path
+        for w in (math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                round_weight(w, 0.5)
 
 
 @functools.lru_cache(maxsize=None)

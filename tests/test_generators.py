@@ -57,6 +57,8 @@ class TestRandomStream:
             gen_random_stream(5, 1, 4, seed=1, mode="nope")
         with pytest.raises(InvalidParameter):
             gen_random_stream(5, 1, 4, seed=1, weight_min=9, weight_max=1)
+        with pytest.raises(InvalidParameter, match="k=-3"):
+            gen_random_stream(5, -3, 2, seed=1)  # its header would be refused
 
 
 def _digest(stream):

@@ -65,6 +65,10 @@ class TestParameters:
             InsertMatcher(20, 2, 0.0, random.Random(1))
         with pytest.raises(InvalidParameter):
             InsertMatcher(20, 2, 1.0, random.Random(1))
+        # both were accepted; k = 1.5 made space_bound the float 36.0
+        for n, k in ((10, 1.5), (-3, 1)):
+            with pytest.raises(InvalidParameter):
+                InsertMatcher(n, k, 0.5, random.Random(1))
 
 
 class TestFirstSegment:

@@ -44,6 +44,10 @@ class TestConstruction:
             s.update(8, 1)
         with pytest.raises(InvalidParameter):
             s.update(-1, 1)
+        # a non-int index once raised a bare TypeError
+        for index in (2.5, "3"):
+            with pytest.raises(InvalidParameter):
+                s.update(index, 1)
         # a cell's count field holds an int below 2^63 in magnitude
         for d in (1 << 63, -(1 << 63), 2.5):
             with pytest.raises(InvalidParameter):

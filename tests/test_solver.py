@@ -42,6 +42,11 @@ class TestSentinel:
             max_weight_k_matching([], -1)
         with pytest.raises(InvalidParameter):
             brute_force_oracle([], -1)
+        # a float k once raised a bare TypeError
+        with pytest.raises(InvalidParameter):
+            max_weight_k_matching([Edge(0, 1, 5)], 1.5)
+        with pytest.raises(InvalidParameter):
+            brute_force_oracle([Edge(0, 1, 5)], 1.5)
 
 
 class TestKnownAnswers:
