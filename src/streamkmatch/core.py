@@ -72,6 +72,16 @@ def require_int(name: str, value, least: int) -> None:
         raise InvalidParameter(f"{name}={value!r} must be an int >= {least}")
 
 
+def require_open_unit(name: str, value) -> None:
+    """Raise InvalidParameter unless value is a number in (0, 1)."""
+    try:
+        if 0 < value < 1:  # false for nan
+            return
+    except TypeError:  # a string or another value that does not compare
+        pass
+    raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
+
+
 def edge_fault(u, v, wt=0, n=math.inf):
     """The edge rule: None if u, v are ints with 0 <= u < v < n and wt is
     a number in [0, inf), else the reason.  The default weight passes,

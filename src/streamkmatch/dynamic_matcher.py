@@ -42,7 +42,11 @@ multiplicities have a fingerprint sum vanishing at z, the same
 <= universe/q event the decoder accepts as a false decode.  The stored
 state depends on order (+a, +b, -b leaves a full sampler; +a merged
 with +b, -b leaves a one-index one), the decode does not; dense_cells()
-is the order-free view, every sampler spread to its levels.
+is the order-free view, every sampler spread to its levels.  The grid
+keeps the count of samplers per one-index top cell as updates arrive,
+so a query reads the distinct cells from that count and walks only the
+full samplers; a merge leaves the count for the next query to rebuild
+in one pass over every sampler.
 
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
@@ -78,6 +82,7 @@ from .core import (
     edge_index,
     halvings,
     require_int,
+    require_open_unit,
 )
 from .hashing import FIELD_PRIME, build_hash_scheme, random_kwise, scheme_eval
 from .solver import max_weight_k_matching
@@ -103,8 +108,7 @@ def round_weight(w, epsilon: float) -> int:
     """
     if not 0 < w < math.inf:
         raise InvalidParameter(f"weight {w!r} must be positive and finite for rounding")
-    if not (0 < epsilon < 1):
-        raise InvalidParameter("epsilon must lie in (0, 1)")
+    require_open_unit("epsilon", epsilon)
     lg = math.log1p(epsilon)
     x = math.log(w) / lg
     if math.isfinite(x):
@@ -195,10 +199,8 @@ class CellGrid:
     """
 
     def __init__(self, universe: int, delta: float, rng):
-        if universe < 1:
-            raise InvalidParameter("universe size must be >= 1")
-        if not (0 < delta < 1):
-            raise InvalidParameter("delta must lie in (0, 1)")
+        require_int("universe", universe, 1)
+        require_open_unit("delta", delta)
         self.universe = universe
         self.levels = max(universe - 1, 1).bit_length() + 1
         self.reps = halvings(delta)
@@ -210,6 +212,9 @@ class CellGrid:
         self.z = rng.randrange(1, FIELD_PRIME)
         self.tops = {}      # base -> top cell, zeros dropped
         self._full = set()  # the bases that keep per-repetition cells
+        # one-index top cell -> the samplers holding it; None after a merge
+        self._one_tops = {}
+        self.last_decodes = 0  # cells and full samplers the last decode read
         self.cells = {}     # (full base, rep, exact level) packed -> packed sums
         # a cell key is (base << _shift) | (rep << _lev_bits) | level
         self._lev_bits = (self.levels - 1).bit_length()
@@ -254,7 +259,11 @@ class CellGrid:
         bases."""
         tops = self.tops
         full = self._full
+        ones = self._one_tops
         rls = None  # index's levels, needed only by a full sampler
+        before = len(tops)
+        # bases past the two common branches, and their change to len(tops)
+        rare = grown = 0
         for base in bases:
             top = tops.get(base)
             if top is None:
@@ -267,9 +276,16 @@ class CellGrid:
                     continue
                 if s & _C0_MASK and self._index_of(top) == index:
                     tops[base] = s
+                    rare += 1
+                    if ones is not None:
+                        _bump(ones, top, -1)
+                        _bump(ones, s, 1)
                     continue
                 # a second index, or a count of zero that would lose it
                 self._make_full(base, top)
+                if ones is not None:
+                    _bump(ones, top, -1)
+            rare += 1
             if rls is None:
                 rls = self._levels_of(index)
             self._spread(self.cells, base, rls, cell)
@@ -278,6 +294,16 @@ class CellGrid:
             else:
                 del tops[base]
                 full.discard(base)
+                grown -= 1
+        if ones is not None:
+            # every fresh base took cell and every cancelled one held
+            # -cell: 2 * fresh = both + net, 2 * cancelled = both - net
+            both = len(bases) - rare
+            net = len(tops) - before - grown
+            if both + net:
+                _bump(ones, cell, (both + net) >> 1)
+            if both - net:
+                _bump(ones, -cell, (net - both) >> 1)
 
     def _decode(self):
         """Query every sampler whose count is not zero.  Returns the
@@ -333,32 +359,39 @@ class CellGrid:
             return None
 
         # every repetition of a one-index sampler meets its one top cell
-        # at the index's level: count the samplers per top cell, taking
-        # the full ones out by base (+a, +b, -b leaves a full sampler
-        # whose top equals a one-index one), and decode each cell once
+        # at the index's level, so each distinct one-index top cell
+        # decodes once for all the samplers holding it
         tops = self.tops
-        times = Counter(tops.values())
+        ones = self._one_tops
+        if ones is None:
+            # a merge left the count stale: count again, taking the full
+            # samplers out by base (+a, +b, -b leaves a full sampler
+            # whose top equals a one-index one)
+            ones = Counter(tops.values())
+            for base in full:
+                ones[tops[base]] -= 1
+            self._one_tops = ones = {top: n for top, n in ones.items() if n}
         got = []  # (decode or None, samplers it stands for)
         for base in full:
-            top = tops[base]
-            times[top] -= 1
-            if top & c0_mask:  # count zero decodes nothing
+            if tops[base] & c0_mask:  # count zero decodes nothing
                 kb = base << shift
                 got.append((first_decode(suffixes(kb | (rep << lev_bits))
                                          for rep in reps), 1))
-        got += [(first_decode(((top,),)), n) for top, n in times.items()
-                if n and top & c0_mask]
+        got += [(first_decode(((top,),)), n) for top, n in ones.items()]
+        self.last_decodes = len(got)
         return ([g for g, _ in got if g is not None],
                 sum(n for g, n in got if g is None))
 
     def _merge_cells(self, other: "CellGrid") -> None:
         """Add a grid built with the same randomness, sampler by sampler."""
         if (
-            other.universe != self.universe
+            not isinstance(other, CellGrid)
+            or other.universe != self.universe
             or other.level_hashes != self.level_hashes
             or other.z != self.z
         ):
             raise InvalidParameter("grids built with different randomness")
+        self._one_tops = None  # the next decode counts again
         tops = self.tops
         full = self._full
         for base, top in other.tops.items():
@@ -428,8 +461,8 @@ class DynamicMatcher(CellGrid):
     def __init__(self, n: int, k: int, rng, epsilon=None, delta=None, validate=False):
         require_int("k", k, 1)
         require_int("n", n, 2 * k)  # room for a k-matching
-        if epsilon is not None and not (0 < epsilon < 1):
-            raise InvalidParameter("epsilon must lie in (0, 1)")
+        if epsilon is not None:
+            require_open_unit("epsilon", epsilon)
         self.n = n
         self.k = k
         self.epsilon = epsilon
@@ -514,13 +547,15 @@ class DynamicMatcher(CellGrid):
             "cells": len(self.cells),
             "keys_touched_last": self.last_keys_touched,
             "fail_count_last_query": self.last_fail_count,
+            "decodes_last_query": self.last_decodes,
         }
 
     def merge_from(self, other: "DynamicMatcher") -> None:
         """Cell-wise combine of a grid built with identical randomness
         over a disjoint stream (sharded ingestion).  A validating grid
         merges only a validating grid whose live edges are not its own."""
-        if other.scheme != self.scheme or other.epsilon != self.epsilon:
+        if (not isinstance(other, DynamicMatcher) or other.scheme != self.scheme
+                or other.epsilon != self.epsilon):
             raise InvalidParameter("grids built with different randomness")
         live = self._live
         if live is not None and other._live is None:

@@ -42,6 +42,9 @@ def gen_random_stream(
     weights; in dynamic mode, deletions of live edges are interleaved."""
     require_int("n", n, 0)  # n * (n - 1) // 2 would admit edges for n < 0
     require_int("k", k, 0)
+    for name, value in (("edges", edges), ("deletes", deletes),
+                        ("weight_min", weight_min), ("weight_max", weight_max)):
+        require_int(name, value, -math.inf)  # the ranges below have their own messages
     universe = n * (n - 1) // 2
     if edges < 0 or edges > universe:
         raise InvalidParameter(f"edge count {edges} not in [0, {universe}]")

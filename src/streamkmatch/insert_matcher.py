@@ -19,7 +19,7 @@ optimal one.  A query changes no state.
 
 from __future__ import annotations
 
-from .core import Edge, InvalidParameter, MalformedStream, edge_fault, halvings, require_int
+from .core import Edge, MalformedStream, edge_fault, halvings, require_int, require_open_unit
 # perfbench/tracing.py patches `reduce` here when it traces a run
 from .reducer import C_RED, ReducerState, new_vertex_partition, reduce  # noqa: F401
 from .solver import max_weight_k_matching
@@ -36,8 +36,7 @@ class InsertMatcher:
     def __init__(self, n: int, k: int, epsilon: float, rng):
         require_int("n", n, 0)
         require_int("k", k, 1)
-        if not (0 < epsilon < 1):
-            raise InvalidParameter("epsilon must lie in (0, 1)")
+        require_open_unit("epsilon", epsilon)
         self.n = n
         self.k = k
         self.epsilon = epsilon

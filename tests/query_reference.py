@@ -15,13 +15,20 @@ Both are rebuilt here from the matcher's state without changing it: the
 insert-only reference reduces a fresh copy of each pending reduction,
 which gives the same sketch as finishing it.  The current queries must
 never rank below them.
+
+The grid's decode keeps a count of the samplers per one-index top cell
+as updates arrive.  Before that, it counted them in one pass over every
+sampler's top cell at each query; `recounting_decode` is that decode,
+and the kept count must give the same triples and fail count.
 """
 
 import math
+from collections import Counter
 
 from streamkmatch import NO_K_MATCHING, Edge, matching_of, max_weight_k_matching
 from streamkmatch.core import edge_at_index, edge_index
-from streamkmatch.dynamic_matcher import round_weight
+from streamkmatch.dynamic_matcher import _C0_BITS, _FP_BITS, round_weight
+from streamkmatch.hashing import FIELD_PRIME
 from streamkmatch.reducer import ReducerState, reduce
 from streamkmatch.solver import preference
 
@@ -58,3 +65,56 @@ def float_key_dynamic_query(m):
         return answer
     return matching_of(Edge(e.u, e.v, weights[edge_index(e.u, e.v, m.n)])
                        for e in answer.edges)
+
+
+def recounting_decode(g):
+    """CellGrid._decode with the samplers per top cell counted afresh."""
+    q = FIELD_PRIME
+    c0_mask = (1 << _C0_BITS) - 1
+    c0_cap = 1 << (_C0_BITS - 1)
+    c1_mask = (1 << (g._fp_at - _C0_BITS)) - 1
+    fp_half = 1 << (_FP_BITS - 1)
+    fp_mask = (1 << _FP_BITS) - 1
+
+    def suffixes(rb):
+        s = 0
+        for lev in range(g.levels - 1, -1, -1):
+            c = g.cells.get(rb | lev)
+            if c is not None:
+                s += c
+                yield s
+
+    def first_decode(walks):
+        for walk in walks:
+            for s in walk:
+                c0 = s & c0_mask
+                if not 0 < c0 < c0_cap:
+                    continue
+                c1 = (s >> _C0_BITS) & c1_mask
+                if c1 % c0:
+                    continue
+                j = c1 // c0
+                if j >= g.universe:
+                    continue
+                rest = s >> g._fp_at
+                fp = ((rest + fp_half) & fp_mask) - fp_half
+                if (fp - c0 * pow(g.z, j, q)) % q == 0:
+                    c2 = (rest - fp) >> _FP_BITS
+                    if c2 % c0 == 0:
+                        return j, c0, c2 // c0
+                    break
+        return None
+
+    times = Counter(g.tops.values())
+    got = []
+    for base in g._full:
+        top = g.tops[base]
+        times[top] -= 1
+        if top & c0_mask:
+            kb = base << g._shift
+            got.append((first_decode(suffixes(kb | (rep << g._lev_bits))
+                                     for rep in range(g.reps)), 1))
+    got += [(first_decode(((top,),)), n) for top, n in times.items()
+            if n and top & c0_mask]
+    return ([x for x, _ in got if x is not None],
+            sum(n for x, n in got if x is None))

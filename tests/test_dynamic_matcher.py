@@ -57,6 +57,10 @@ class TestParameters:
         for n, k in ((10.5, 1), (10, 1.5)):
             with pytest.raises(InvalidParameter):
                 DynamicMatcher(n, k, random.Random(1))
+        # a string epsilon or delta once raised a bare TypeError
+        for kwargs in ({"epsilon": "0.1"}, {"delta": "0.1"}):
+            with pytest.raises(InvalidParameter):
+                DynamicMatcher(10, 1, random.Random(1), **kwargs)
 
     def test_many_repetitions_keep_cell_keys_apart(self):
         # k >= 7 at the default delta needs 17+ repetitions; the packed
@@ -535,6 +539,13 @@ class TestSamplerStats:
         assert stats["distinct_weight_keys"] == 3
         assert stats["live_samplers"] == m.live_sampler_count == 432
         assert stats["negative_samplers"] == 144
+        # a query decodes each distinct one-index top cell once: the two
+        # inserted edges and the phantom's negative count, with no full
+        # sampler at this n
+        assert stats["decodes_last_query"] == 0
+        m.query()
+        assert not m._full and m.last_fail_count == 144
+        assert m.stats()["decodes_last_query"] == 3
 
 
 class TestRoundWeightFastPath:
@@ -745,6 +756,8 @@ class TestMerge:
         b = DynamicMatcher(20, 2, random.Random(2))
         with pytest.raises(InvalidParameter):
             a.merge_from(b)
+        with pytest.raises(InvalidParameter):  # once an AttributeError
+            a.merge_from(L0Sampler(190, 0.1, random.Random(1)))
 
     def test_merge_rejects_mismatched_epsilon(self):
         a = DynamicMatcher(20, 2, random.Random(3))

@@ -59,6 +59,12 @@ class TestRandomStream:
             gen_random_stream(5, 1, 4, seed=1, weight_min=9, weight_max=1)
         with pytest.raises(InvalidParameter, match="k=-3"):
             gen_random_stream(5, -3, 2, seed=1)  # its header would be refused
+        # non-int sizes once raised a bare TypeError, ValueError or IndexError
+        for name, value, mode in (("edges", 2.5, "ins"), ("weight_min", 1.5, "ins"),
+                                  ("weight_max", 3.5, "ins"), ("deletes", 1.5, "dyn")):
+            with pytest.raises(InvalidParameter, match=name):
+                gen_random_stream(**{"n": 6, "k": 1, "edges": 4, "seed": 1, "mode": mode,
+                                     name: value})
 
 
 def _digest(stream):

@@ -69,6 +69,8 @@ class TestParameters:
         for n, k in ((10, 1.5), (-3, 1)):
             with pytest.raises(InvalidParameter):
                 InsertMatcher(n, k, 0.5, random.Random(1))
+        with pytest.raises(InvalidParameter):  # once a bare TypeError
+            InsertMatcher(10, 1, "0.1", random.Random(1))
 
 
 class TestFirstSegment:

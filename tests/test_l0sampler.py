@@ -37,6 +37,10 @@ class TestConstruction:
             L0Sampler(10, 0.0, random.Random(1))
         with pytest.raises(InvalidParameter):
             L0Sampler(10, 1.0, random.Random(1))
+        # a float universe once raised an AttributeError, a string delta a TypeError
+        for universe, delta in ((10.5, 0.1), (10, "0.1")):
+            with pytest.raises(InvalidParameter):
+                L0Sampler(universe, delta, random.Random(1))
 
     def test_update_range_check(self):
         s = L0Sampler(8, 0.1, random.Random(3))

@@ -6,18 +6,26 @@ reduction and every carried sketch; each per-hash candidate of the
 earlier query is a subset of that union.  The dynamic query solves on
 the sample's true weights, which the float-key solve only approximated,
 so in exact mode the two agree.
+
+The decode reads a count of the samplers per one-index top cell kept
+as updates arrive; after every update it must decode exactly what a
+fresh count over every sampler decodes.
 """
 
 import random
 
 import pytest
 
-from query_reference import float_key_dynamic_query, per_hash_insert_query
+from query_reference import float_key_dynamic_query, per_hash_insert_query, recounting_decode
 from streamkmatch import (
     NO_K_MATCHING,
     DynamicMatcher,
     InsertMatcher,
+    L0Sampler,
+    delete,
     gen_random_stream,
+    insert,
+    round_weight,
 )
 from streamkmatch.solver import preference
 
@@ -103,3 +111,80 @@ def test_exact_mode_agrees_with_the_float_key_query(shards):
         n, k = ((12, 1), (16, 2), (14, 3))[trial % 3]
         m = _dynamic_run(n, k, None, 61_000 + trial, shards)
         assert m.query() == float_key_dynamic_query(m)
+
+
+def _decodes_as_the_recount(g):
+    found, fails = g._decode()
+    want_found, want_fails = recounting_decode(g)
+    assert sorted(found) == sorted(want_found)
+    assert fails == want_fails
+    assert 0 not in g._one_tops.values()
+
+
+def _unvalidated_update(r, g, live, eps):
+    """One update of a small-n stream that reaches every branch of the
+    grid's update: fresh and cancelled samplers, an edge inserted
+    twice, a second edge making a sampler full and later a full sampler
+    at zero, a phantom delete (a negative count), and in approximation
+    mode a delete whose weight rounds to its insert's key."""
+    x = r.random()
+    if x < 0.3 or not live:
+        u, v = sorted(r.sample(range(g.n), 2))
+        live.append((u, v, r.randint(1, 3)))
+        g.process_update(insert(*live[-1]))
+    elif x < 0.4:
+        live.append(r.choice(live))
+        g.process_update(insert(*live[-1]))
+    elif x < 0.95:
+        u, v, w = live.pop(r.randrange(len(live)))
+        if (eps is not None and r.random() < 0.25
+                and round_weight(w + 1, eps) == round_weight(w, eps)):
+            w += 1
+        g.process_update(delete(u, v, w))
+    else:
+        u, v = sorted(r.sample(range(g.n), 2))
+        g.process_update(delete(u, v, r.randint(1, 3)))
+
+
+# matcher seeds whose scheme gives two of five vertices a shared hash
+# value, so that distinct edges share samplers; at eps = 0.9 the
+# weights 2 and 3 round to one key
+@pytest.mark.parametrize("eps", [None, 0.9])
+@pytest.mark.parametrize("seed", [0, 6, 30, 39])
+def test_kept_count_decodes_as_the_recount(seed, eps):
+    r = random.Random(70_000 + seed)
+    g, shard = (DynamicMatcher(5, 1, random.Random(seed), epsilon=eps) for _ in range(2))
+    live, shard_live, zeroed = [], [], set()
+    for _ in range(60):
+        _unvalidated_update(r, shard, shard_live, eps)
+    for step in range(240):
+        full = set(g._full)
+        _unvalidated_update(r, g, live, eps)
+        zeroed |= full - g.tops.keys()
+        if step == 120:
+            g.merge_from(shard)  # the count is rebuilt at the next decode
+            live += shard_live
+        elif not 120 < step < 124:  # updates to a grid whose count is stale
+            _decodes_as_the_recount(g)
+            g.query()
+            assert g.last_fail_count == recounting_decode(g)[1]
+    assert zeroed  # samplers were made full, and some returned to zero
+
+
+def test_kept_count_of_an_l0_sampler_decodes_as_the_recount():
+    # rounds of one or two indices, each undone, so the sampler keeps
+    # returning to zero; a merged shard's index is undone halfway
+    r = random.Random(71_000)
+    a, shard = (L0Sampler(6, 0.1, random.Random(5)) for _ in range(2))
+    shard.update(4, 1)
+    for rnd in range(60):
+        if rnd == 20:
+            a.merge(shard)
+            _decodes_as_the_recount(a)
+        if rnd == 40:
+            a.update(4, -1)
+            _decodes_as_the_recount(a)
+        ups = [(r.randrange(6), r.choice((1, -1, 2))) for _ in range(1 + (r.random() < 0.4))]
+        for i, d in ups + [(i, -d) for i, d in reversed(ups)]:
+            a.update(i, d)
+            _decodes_as_the_recount(a)
