@@ -136,10 +136,13 @@ def edge_at_index(eid: int, n: int) -> tuple:
 def halvings(p) -> int:
     """The smallest t >= 0 with 2^-t <= p, for p in (0, 1], exactly:
     ceil(log2(1/p)) without a float logarithm."""
-    if not 0 < p <= 1:
-        raise InvalidParameter(f"{p!r} is not a probability in (0, 1]")
-    num, den = p.as_integer_ratio()
-    return (-(-den // num) - 1).bit_length()
+    try:
+        if 0 < p <= 1:  # false for nan
+            num, den = p.as_integer_ratio()
+            return (-(-den // num) - 1).bit_length()
+    except TypeError:  # a string or another value that does not compare
+        pass
+    raise InvalidParameter(f"{p!r} is not a probability in (0, 1]")
 
 
 class StreamElement(NamedTuple):

@@ -202,8 +202,10 @@ def bipartite_matching_size(edges, need=None) -> int:
         frames = [(a, iter(adj[a]))]
         taken = []  # the right vertex each frame but the top one went through
         while frames:
-            b = next((b for b in frames[-1][1] if b not in seen), None)
-            if b is None:
+            for b in frames[-1][1]:
+                if b not in seen:
+                    break
+            else:
                 frames.pop()
                 if taken:
                     taken.pop()

@@ -66,17 +66,14 @@ class InsertMatcher:
         # reductions finish in order, so all are done once the last is
         if self.reducers and not self.reducers[-1].done:
             remaining = self.budget
-            executed = 0
             for red in self.reducers:
                 if red.done:
                     continue
-                used = red.step_upto(remaining)
-                executed += used
-                remaining -= used
+                remaining -= red.step_upto(remaining)
                 if remaining == 0:
                     break
-            if executed > self.max_steps_per_insert:
-                self.max_steps_per_insert = executed
+            if self.budget - remaining > self.max_steps_per_insert:
+                self.max_steps_per_insert = self.budget - remaining
         if self.arrivals % self.segment_size == 0:
             self._rotate()
         if self.stored_edges > self.peak_stored_edges:

@@ -14,25 +14,24 @@ subgraph of a set of edges is built in four phases:
 The reduced subgraph has at most 4k^2 edges and preserves the best
 k-matching whose vertices all land in distinct buckets.
 
-ReducerState runs the computation under the budget protocol of
-selection.py, so a stream consumer can spread it across arrivals with a
-fixed per-arrival budget.  One unit is one element touch: one per input
-edge, one per tagged edge, one per bucket pair when bucketing it, the
-units of each bucket's top-2k selection, one per edge a bucket keeps,
-one per bucket pair when collecting the survivors, and the units of the
-global top-4k^2 selection.  The units bound the touches the machine
-really makes from above.  A bucket of at most 2k entries keeps them
-all, so it is charged its 2n units for O(1) work; an over-full bucket
-records the entries it cuts during the charged keep pass of its
-selection, as None in their pair's slot, and the survivors are the
-pairs no bucket cut.  `step_upto(limit)` resumes the machine with one
-`send(limit)`; the machine yields only when the limit is spent and work
-remains.  Every slice of real work, each list slice and dict walk
-included, belongs to a charged slice of units, and the uncharged work
-between two slices is O(1) (a resume passes through at most the
-select's recursion depth, O(log k) frames), so each resume that returns
-u still does O(u + 1) work, and an arrival, which resumes at most one
-machine per hash, does O(budget + hashes) work.
+ReducerState is a Meter (selection.py) over one routine that yields
+each charged pass as `(n, visit)`, so a stream consumer can spread the
+computation across arrivals with a fixed per-arrival budget.  One unit
+is one element touch: one per input edge, one per tagged edge, one per
+bucket pair when bucketing it, the units of each bucket's top-2k
+selection, one per edge a bucket keeps, one per bucket pair when
+collecting the survivors, and the units of the global top-4k^2
+selection.  The units bound the touches the machine really makes from
+above.  A bucket of at most 2k entries keeps them all, so it is
+charged its 2n units for O(1) work; an over-full bucket records the
+entries it cuts during the charged keep pass of its selection, as None
+in their pair's slot, and the survivors are the pairs no bucket cut.
+Every slice of real work, each list slice and dict walk included,
+belongs to a charged pass, and the uncharged work between two passes
+is O(1) (a resume passes through at most the select's recursion depth,
+O(log k) frames), so each `step_upto` call that spends u units still
+does O(u + 1) work, and an arrival, which steps at most one machine
+per hash, does O(budget + hashes) work.
 
 The machine works on entries (wt, u, v, code, edge): their natural
 order is the edge heaviness order beta = (wt, u, v), and code = i*r + j
@@ -50,7 +49,7 @@ from itertools import islice
 
 from .core import InvalidParameter
 from .hashing import FIELD_PRIME, UniversalHash, random_universal
-from .selection import _touch, pay, select_steps, top_t_steps, walk
+from .selection import Meter, select_steps, top_t_steps
 
 # Calibrated unit constant: a full reduction of m edges spends at most
 # C_RED * (m + k^2) units.  Pinned by a calibration test.
@@ -64,7 +63,7 @@ def new_vertex_partition(k: int, rng) -> UniversalHash:
     return random_universal(4 * k * k, rng)
 
 
-class ReducerState:
+class ReducerState(Meter):
     """Resumable computation of the reduced subgraph of carry + edges.
 
     `edges` is a sequence that must not change before the reduction is
@@ -73,41 +72,25 @@ class ReducerState:
     `output` are set from then on.
     """
 
+    kept = None
+
     def __init__(self, edges, f: UniversalHash, k: int, carry=()):
         self.edges = edges
         self.carry = carry
         self.f = f
         self.k = k
-        self.done = False
-        self.kept = None
-        self._gen = self._run()
-        next(self._gen)  # to the first budget request; no work done yet
+        super().__init__(self._run())
 
     @property
     def output(self):
         """The reduced subgraph's edges (None until done)."""
         return None if self.kept is None else [x[4] for x in self.kept]
 
-    def step_upto(self, limit: int) -> int:
-        """Spend up to limit units; returns units spent (0 once done)."""
-        if self.done:
-            return 0
-        if limit < 0:
-            raise InvalidParameter(f"budget {limit} must be >= 0")
-        try:
-            self._gen.send(limit)
-        except StopIteration as stop:
-            self.done = True
-            return limit - stop.value
-        return limit
-
     def run_to_completion(self) -> list:
-        while not self.done:
-            self.step_upto(1 << 30)
+        super().run_to_completion()
         return self.output
 
     def _run(self):
-        budget = yield
         a, b, r, p = self.f.a, self.f.b, self.f.r, FIELD_PRIME
         edges, carry = self.edges, self.carry
         cap_bucket = 2 * self.k
@@ -141,14 +124,9 @@ class ReducerState:
                 if cur is None or (wt, u, v) > cur:
                     best[code] = (wt, u, v, code, e)
 
-        n = len(carry)
-        budget = (pay(n, budget, carried) if n <= budget
-                  else (yield from walk(n, budget, carried)))
-        n = len(edges)
-        budget = (pay(n, budget, bucketed) if n <= budget
-                  else (yield from walk(n, budget, bucketed)))
-        n = len(carry) + crossing
-        budget = pay(n, budget) if n <= budget else (yield from walk(n, budget))
+        yield len(carry), carried
+        yield len(edges), bucketed
+        yield len(carry) + crossing, None
 
         # phase 3: per bucket, keep only the 2k heaviest incident
         # entries; an entry survives iff neither of its buckets cuts
@@ -162,9 +140,7 @@ class ReducerState:
                 buckets[code // r].append(x)
                 buckets[code % r].append(x)
 
-        n = len(best)
-        budget = (pay(n, budget, spread) if n <= budget
-                  else (yield from walk(n, budget, spread)))
+        yield len(best), spread
 
         def cut(pos, end):
             # positions past the bucket's end are its kept entries'
@@ -177,15 +153,12 @@ class ReducerState:
             n = len(incident)
             if n <= cap_bucket:
                 # n touches and n marks, and nothing to cut
-                n, visit = 2 * n, _touch
+                yield 2 * n, None
             else:
                 # select the threshold, then one keep pass that cuts
                 # the lighter entries, then 2k marks
-                threshold, budget = yield from select_steps(
-                    incident, n - cap_bucket, budget)
-                n, visit = n + cap_bucket, cut
-            budget = (pay(n, budget, visit) if n <= budget
-                      else (yield from walk(n, budget, visit)))
+                threshold = yield from select_steps(incident, n - cap_bucket)
+                yield n + cap_bucket, cut
         buckets = incident = None  # each phase frees its lists as it ends
         survivors = []
         pairs = iter(best.values())
@@ -193,14 +166,11 @@ class ReducerState:
         def survive(pos, end):
             survivors.extend(filter(None, islice(pairs, end - pos)))
 
-        n = len(best)
-        budget = (pay(n, budget, survive) if n <= budget
-                  else (yield from walk(n, budget, survive)))
+        yield len(best), survive
         best = None
 
         # phase 4: keep the 4k^2 heaviest overall
-        self.kept, budget = yield from top_t_steps(survivors, cap_global, budget)
-        return budget
+        self.kept = yield from top_t_steps(survivors, cap_global)
 
 
 def reduce(edges, f: UniversalHash, k: int, carry=()) -> list:

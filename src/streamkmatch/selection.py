@@ -6,18 +6,20 @@ is one element touch (each item once per group-of-five pass, once per
 partition pass, once per keep pass).  The budget protocol, which the
 reducer follows too:
 
-  * a routine is called with the units it may spend now;
-  * it works through its input in `items[pos:pos + take]` slices with
-    plain loops, and yields only when its budget is spent and work
-    remains; the driver resumes it with `send(units)`;
-  * it returns (result, leftover units), so routines chain as
-    `result, budget = yield from routine(..., budget)`.
+  * a routine is a generator that yields each charged pass as
+    `(n, visit)`: n units, whose work is `visit(pos, end)` over
+    consecutive slices of [0, n) (visit None for a pass that only
+    touches), and returns its plain result, so routines chain as
+    `result = yield from routine(...)`;
+  * a `Meter` owns the budget: `step_upto(limit)` pays the current pass
+    in slices while the limit lasts, and resumes the routine for the
+    next pass only once the current one is paid.  It keeps resuming
+    while the next pass is empty, even with nothing left, so a routine
+    is `done` in the call that pays its last unit.
 
-A pass of n units is charged by one rule: `pay` when the budget covers
-all n of them (one slice, no generator), `walk` when it may have to
-yield.  Between two charged slices a routine does O(1) uncharged work
-(sorting a group of five, the sort of at most ten items that ends a
-select, starting a recursion level), so one resumption that is sent u
+Between two charged passes a routine does O(1) uncharged work (sorting
+a group of five, the sort of at most ten items that ends a select,
+starting a recursion level), so one `step_upto` call that spends u
 units does O(u + 1) work.
 
 Items are compared in their natural order and must be pairwise
@@ -26,43 +28,70 @@ distinct, which keeps the three-way pivot split trivial.
 
 from __future__ import annotations
 
-
-def _touch(pos: int, end: int) -> None:
-    """A visit whose only work is the touch itself."""
+from .core import InvalidParameter
 
 
-def pay(n: int, budget: int, visit=_touch) -> int:
-    """The pass over [0, n) in one slice, for a budget of at least n:
-    visit(0, n), and the leftover budget."""
-    visit(0, n)
-    return budget - n
+class Meter:
+    """Runs a routine under the budget protocol.  `done` turns true in
+    the step_upto call that pays the routine's last unit, and `result`
+    holds what it returned from then on."""
+
+    done = False
+    result = None
+
+    def __init__(self, routine):
+        self._next = routine.__next__
+        self._n = self._pos = 0  # the current pass, paid up to _pos
+        self._visit = None
+
+    def step_upto(self, limit: int) -> int:
+        """Spend up to limit units; returns units spent (0 once done)."""
+        if self.done:
+            return 0
+        if limit < 0:
+            raise InvalidParameter(f"budget {limit} must be >= 0")
+        pos, n, visit = self._pos, self._n, self._visit
+        left = limit - (n - pos)
+        if left < 0:  # the current pass outlasts the limit
+            if limit and visit is not None:
+                visit(pos, pos + limit)
+            self._pos = pos + limit
+            return limit
+        if visit is not None:
+            visit(pos, n)
+        fetch = self._next
+        while True:
+            try:
+                n, visit = fetch()
+            except StopIteration as stop:
+                self.done = True
+                self.result = stop.value
+                self._next = self._visit = None  # free what they hold
+                return limit - left
+            if n > left:
+                break
+            if visit is not None:
+                visit(0, n)
+            left -= n
+        if left and visit is not None:
+            visit(0, left)
+        self._pos, self._n, self._visit = left, n, visit
+        return limit
+
+    def run_to_completion(self):
+        while not self.done:
+            self.step_upto(1 << 30)
+        return self.result
 
 
-def walk(n: int, budget: int, visit=_touch):
-    """Spend one unit per position in [0, n): call visit(pos, end) on
-    consecutive slices, each as long as the budget allows.  Returns the
-    leftover budget.  Callers whose budget covers n call `pay` instead
-    and skip the generator."""
-    pos = 0
-    while pos < n:
-        if not budget:
-            budget = yield
-        end = min(n, pos + budget)
-        visit(pos, end)
-        budget -= end - pos
-        pos = end
-    return budget
-
-
-def select_steps(items, rank: int, budget: int):
+def select_steps(items, rank: int):
     """Median of medians (Blum, Floyd, Pratt, Rivest & Tarjan 1973):
-    the item of the given ascending rank (0-based), and the leftover
-    budget."""
+    the item of the given ascending rank (0-based)."""
     while True:
         n = len(items)
         if n <= 10:
-            budget = pay(n, budget) if n <= budget else (yield from walk(n, budget))
-            return sorted(items)[rank], budget
+            yield n, None
+            return sorted(items)[rank]
         medians = []
 
         def group(pos, end):
@@ -72,9 +101,8 @@ def select_steps(items, rank: int, budget: int):
                 five = sorted(items[g : g + 5])
                 medians.append(five[len(five) // 2])
 
-        budget = (pay(n, budget, group) if n <= budget
-                  else (yield from walk(n, budget, group)))
-        pivot, budget = yield from select_steps(medians, len(medians) // 2, budget)
+        yield n, group
+        pivot = yield from select_steps(medians, len(medians) // 2)
         lows, highs = [], []
 
         def split(pos, end):
@@ -82,33 +110,31 @@ def select_steps(items, rank: int, budget: int):
             lows.extend([x for x in chunk if x < pivot])
             highs.extend([x for x in chunk if x > pivot])
 
-        budget = (pay(n, budget, split) if n <= budget
-                  else (yield from walk(n, budget, split)))
+        yield n, split
         if rank < len(lows):
             items = lows
         elif rank == len(lows):
-            return pivot, budget
+            return pivot
         else:
             rank -= len(lows) + 1
             items = highs
 
 
-def top_t_steps(items, t: int, budget: int):
+def top_t_steps(items, t: int):
     """The t largest items, in input order (items itself when it has at
-    most t), and the leftover budget.  Worst-case linear in units."""
+    most t).  Worst-case linear in units."""
     if t <= 0:
-        return [], budget
+        return []
     n = len(items)
     if n <= t:
-        budget = pay(n, budget) if n <= budget else (yield from walk(n, budget))
-        return items, budget
+        yield n, None
+        return items
     # threshold = smallest item of the top t block
-    threshold, budget = yield from select_steps(items, n - t, budget)
+    threshold = yield from select_steps(items, n - t)
     picked = []
 
     def keep(pos, end):
         picked.extend([x for x in items[pos:end] if x >= threshold])
 
-    budget = (pay(n, budget, keep) if n <= budget
-              else (yield from walk(n, budget, keep)))
-    return picked, budget
+    yield n, keep
+    return picked

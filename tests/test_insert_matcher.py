@@ -47,7 +47,9 @@ class TestParameters:
         assert halvings(5e-324) == 1074
         assert [halvings(p) for p in (1.0, 0.5, 0.25, 0.2, 1 / 16, 0.01)] == [0, 1, 2, 3, 4, 7]
         assert halvings(math.nextafter(0.25, 0)) == 3
-        for p in (0.0, -0.5, 1.5, math.nan, math.inf):
+        for p in (0.0, -0.5, 1.5, math.nan, math.inf, "0.1", None, [0.5]):
+            with pytest.raises(InvalidParameter):
+                halvings(p)
             with pytest.raises(InvalidParameter):
                 step_budget(3, p)
         assert step_budget(3, 1e-320) == 13 * C_RED * 1064 // 4 + 1

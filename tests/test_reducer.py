@@ -186,6 +186,26 @@ class TestReducerState:
         assert set(state.run_to_completion()) == set(reduce(edges, f, 2))
         assert state.step_upto(-3) == 0  # a finished reducer spends nothing
 
+    def test_done_in_the_call_that_pays_the_last_unit(self):
+        # sent exactly its total units in one call, a machine is done
+        # after that call, though the limit is spent when its last
+        # unit is paid; the insert matcher's segment deadline relies
+        # on it
+        rng = random.Random(21)
+        for trial in range(300):
+            k = trial % 4 + 1
+            f = new_vertex_partition(k, rng)
+            m = 0 if trial % 25 == 0 else rng.randint(0, 12 * k * k)
+            edges = _random_multigraph(rng, rng.randint(2, 60), m, [1, 2, rng.randint(1, 99)])
+            total = 0
+            probe = ReducerState(edges, f, k)
+            while not probe.done:
+                total += probe.step_upto(rng.randint(1, 50))
+            state = ReducerState(edges, f, k)
+            assert state.step_upto(total) == total
+            assert state.done
+            assert state.output == probe.output
+
     def test_total_steps_within_calibrated_constant(self):
         # the per-arrival budget relies on: total micro-steps for m edges
         # is at most C_RED * (m + k^2)

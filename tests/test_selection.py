@@ -4,22 +4,17 @@ import random
 
 from reducer_reference import _select_steps as reference_select
 from reducer_reference import top_t_steps as reference_top_t
-from streamkmatch.selection import select_steps, top_t_steps
+from streamkmatch.selection import Meter, select_steps, top_t_steps
 
 
 def _drain(routine, *args, limit=1 << 30):
-    """Run a budgeted routine to its end, sending `limit` units each
-    time it yields; returns (result, units spent in total)."""
-    gen = routine(*args, limit)
-    units = limit
-    try:
-        next(gen)
-        while True:
-            units += limit
-            gen.send(limit)
-    except StopIteration as stop:
-        result, left = stop.value
-    return result, units - left
+    """Run a routine to its end through a Meter, `limit` units per
+    step_upto call; returns (result, units spent in total)."""
+    meter = Meter(routine(*args))
+    units = 0
+    while not meter.done:
+        units += meter.step_upto(limit)
+    return meter.result, units
 
 
 def _yields(gen):
