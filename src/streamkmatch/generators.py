@@ -16,11 +16,14 @@ import math
 import random
 
 from .core import (
+    DELETE,
+    INSERT,
     Edge,
     InvalidParameter,
     MODE_DYNAMIC,
     MODE_INSERT_ONLY,
     Stream,
+    StreamElement,
     delete,
     edge_at_index,
     insert,
@@ -63,8 +66,7 @@ def gen_random_stream(
         for eid in eids
     ]
     if mode == MODE_INSERT_ONLY:
-        elements = tuple(insert(e.u, e.v, e.wt) for e in pending)
-        return Stream(n, k, mode, elements)
+        return Stream(n, k, mode, tuple(StreamElement(e, INSERT) for e in pending))
     return interleave_deletes(n, k, pending, deletes, rng)
 
 
@@ -100,12 +102,13 @@ def gen_index_hard(m: int, x, z: int, n=None) -> Stream:
     """Membership-probe instance.  x is the bit-vector (string or
     sequence of 0/1, 1-indexed positions 1..m); z the probed position.
 
-    Layout with k1 = ceil(sqrt(m)) and an injection chi(y) =
-    ((y-1) // k1 + 1, (y-1) % k1 + 1): left rails l_s--l*_s for every
-    s except chi(z)'s row, right rails r*_t--r_t for every t except
-    chi(z)'s column, cross edges l*_s--r*_t for each set bit, and a
-    disjoint star filling the remaining n - 4*k1 vertices.  The graph
-    has a 2*k1-matching iff bit z is set."""
+    Layout with k1 = ceil(sqrt(m)), vertices and bits counted from 0:
+    blocks l, l*, r*, r of k1 vertices each, then a star on the
+    remaining n - 4*k1 vertices.  A set bit y is the cross edge
+    l*_s--r*_t for (s, t) = divmod(y, k1); the rails l_s--l*_s and
+    r*_t--r_t are there for every s except bit z-1's row and every t
+    except its column.  The graph has a 2*k1-matching iff bit z is
+    set."""
     if m < 1:
         raise InvalidParameter("m must be >= 1")
     if len(x) != m or any(b not in (0, 1, "0", "1") for b in x):
@@ -118,31 +121,15 @@ def gen_index_hard(m: int, x, z: int, n=None) -> Stream:
         n = 4 * k1 + 2
     if n < 4 * k1 + 2:
         raise InvalidParameter(f"n must be at least {4 * k1 + 2}")
-
-    def chi(y):
-        return (y - 1) // k1 + 1, (y - 1) % k1 + 1
-
-    # vertex ids: l_s, l*_s, r*_t, r_t blocks, then the star
-    l = lambda s: s - 1               # noqa: E731
-    ls = lambda s: k1 + s - 1         # noqa: E731
-    rs = lambda t: 2 * k1 + t - 1     # noqa: E731
-    r = lambda t: 3 * k1 + t - 1      # noqa: E731
+    # every pair below is u < v < n by construction: no edge rule needed
     center = 4 * k1
-    p_z, q_z = chi(z)
-    elements = []
-    for y in range(1, m + 1):
-        if bits[y - 1]:
-            s, t = chi(y)
-            elements.append(insert(ls(s), rs(t), 1))
-    for leaf in range(center + 1, n):
-        elements.append(insert(center, leaf, 1))
-    for s in range(1, k1 + 1):
-        if s != p_z:
-            elements.append(insert(l(s), ls(s), 1))
-    for t in range(1, k1 + 1):
-        if t != q_z:
-            elements.append(insert(r(t), rs(t), 1))
-    return Stream(n, 2 * k1, MODE_INSERT_ONLY, tuple(elements))
+    row, col = divmod(z - 1, k1)
+    pairs = [(k1 + y // k1, 2 * k1 + y % k1) for y in range(m) if bits[y]]
+    pairs += [(center, leaf) for leaf in range(center + 1, n)]
+    pairs += [(s, k1 + s) for s in range(k1) if s != row]
+    pairs += [(2 * k1 + t, 3 * k1 + t) for t in range(k1) if t != col]
+    elements = tuple(StreamElement(Edge(u, v, 1), INSERT) for u, v in pairs)
+    return Stream(n, 2 * k1, MODE_INSERT_ONLY, elements)
 
 
 def gen_partial_max_hard(values, deleted, n=None) -> Stream:
@@ -165,8 +152,9 @@ def gen_partial_max_hard(values, deleted, n=None) -> Stream:
         n = m + 1
     if n < m + 1:
         raise InvalidParameter(f"n must be at least {m + 1}")
-    elements = [insert(i - 1, i, int(values[i - 1])) for i in range(1, m + 1)]
-    elements += [delete(i - 1, i, int(values[i - 1])) for i in deleted]
+    path = [Edge(i - 1, i, int(values[i - 1])) for i in range(1, m + 1)]
+    elements = [StreamElement(e, INSERT) for e in path]
+    elements += [StreamElement(path[i - 1], DELETE) for i in deleted]
     return Stream(n, 1, MODE_DYNAMIC, tuple(elements))
 
 

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from streamkmatch import (
     INSERT,
     InvalidParameter,
     MalformedStream,
+    Matching,
     MODE_DYNAMIC,
     MODE_INSERT_ONLY,
     Stream,
@@ -23,6 +25,7 @@ from streamkmatch import (
     insert,
     materialize,
     matching_of,
+    max_weight_k_matching,
     read_stream,
     stream_to_text,
 )
@@ -134,6 +137,14 @@ class TestMatching:
 
     def test_empty(self):
         assert matching_of([]).weight == 0
+
+    def test_weight_past_the_float_range_is_exact(self):
+        # an int weight too large for a float next to a float weight:
+        # the float sum overflows, so the sum is taken in Fractions
+        edges = (Edge(0, 1, 10**400), Edge(2, 3, 0.5))
+        exact = Fraction(2 * 10**400 + 1, 2)
+        assert Matching(edges).weight == exact
+        assert max_weight_k_matching(list(edges), 2).weight == exact
 
 
 class TestReplay:

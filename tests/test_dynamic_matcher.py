@@ -180,7 +180,8 @@ T_2_AT_1E_310 = int(
 
 class TestRoundWeightSmallEpsilon:
     """Where the float estimate is undecided at every weight (eps below
-    about 1e-9) or infinite (a subnormal eps), t is settled in decimal."""
+    about 1e-9) or next to a power of 1+eps, or infinite (a subnormal
+    eps), t is settled in decimal."""
 
     @pytest.mark.parametrize("w, eps, t", [
         (22, 1e-6, 3_091_044),
@@ -190,6 +191,10 @@ class TestRoundWeightSmallEpsilon:
         (2, 1e-310, T_2_AT_1E_310),
         (1, 1e-9, 0),
         (1, 5e-324, 0),
+        # 1.5^5 off by 1 part in 10^80: within the first precision's
+        # error of the power, so the decimal walk doubles its precision
+        (Fraction(3, 2) ** 5 * (1 + Fraction(1, 10**80)), 0.5, 6),
+        (Fraction(3, 2) ** 5 * (1 - Fraction(1, 10**80)), 0.5, 5),
     ])
     def test_exact_t(self, w, eps, t):
         assert round_weight(w, eps) == t

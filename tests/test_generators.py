@@ -93,6 +93,45 @@ class TestInterleavedDeletes:
         assert _digest(_log_uniform_dynamic_stream(40, 150, 50, seed)) == digest
 
 
+class TestCanonicalStreamsPinned:
+    """The generators build their elements without the edge rule; these
+    digests pin the exact streams, vertex numbering and order included."""
+
+    @pytest.mark.parametrize("m, x, z, n, digest", [
+        (1, "1", 1, None, "d88f3f894e66176a42f6ce6aa32b249314c3f9d94f1eb4f821a231b06164499c"),
+        (1, "0", 1, None, "7464b1aec3d5d89c459bd2c2ce924cb9275f60b666853fce1b0590e24f140b2c"),
+        (2, "10", 2, None, "23d9f834da731879c82532198787b20173bca5bd4b6efea68df65e270505e260"),
+        (2, "11", 1, 12, "159092c725d6721b459b7381c71bf6d0938d58333053e9f507379b3efc093c42"),
+        (9, "101100111", 5, None,
+         "fd7ca4d6178de95144256c265e8e52a28d496462fbf88368ca676d5b0e6a0e4f"),
+        (9, "010011101", 9, 20,
+         "2c60cafbb57ff7a251a7e47b32e937ed497dc2eb86a435d9462f65a56d395905"),
+        (16, "1011001110001011", 7, None,
+         "419076ab87154efba30df0fb645a775b0e85e5a93b7598a323f4a2edb5a9d61e"),
+        (16, "0110100111010010", 16, 25,
+         "6b202a351575899f25bc7259103fd6b9f01b1dfb3c12f43146ddd4e2dea71d4c"),
+    ])
+    def test_index_hard_pinned(self, m, x, z, n, digest):
+        assert _digest(gen_index_hard(m, x, z, n=n)) == digest
+
+    @pytest.mark.parametrize("values, deleted, n, digest", [
+        ([3, 9, 7, 0, 16, 5], [2, 5], None,
+         "7556d546dee6ae045efa52472edaf374977c2c92300e48227b28ca514d3bef19"),
+        ([3, 9, 7, 0, 16, 5], [], None,
+         "cdf0d7892a258af9fabaa31977b7598bf3c5c05f3bc58bd24ca9c0d55446836e"),
+        ([4, 1, 8], [3, 1], 7, "9de809c1e56a6bd16f5b331b3ea71442903b92b7b6186656acb52936ac84e799"),
+    ])
+    def test_partial_max_hard_pinned(self, values, deleted, n, digest):
+        assert _digest(gen_partial_max_hard(values, deleted, n=n)) == digest
+
+    @pytest.mark.parametrize("n, k, edges, seed, digest", [
+        (20, 2, 60, 1, "acf4adc11008923b5b9130149bb579f52858204264abc6096d53a849cbdad7be"),
+        (40, 3, 150, 7, "44fd6209858553ba84777f50867f0124359ed9afddae8b46ce5853223871a342"),
+    ])
+    def test_random_insert_only_pinned(self, n, k, edges, seed, digest):
+        assert _digest(gen_random_stream(n, k, edges, seed=seed)) == digest
+
+
 class TestIndexHard:
     def test_membership_iff_matching_small_exhaustive(self):
         for m in (1, 2, 3, 4, 5, 9):

@@ -171,21 +171,27 @@ class TestHashScheme:
 
     def test_distinguishes_matches_brute_force(self):
         rng = random.Random(7)
+        expected = set()
         for trial in range(200):
             s = build_hash_scheme(300, 2, rng)
             subset = rng.sample(range(300), rng.randint(1, 6))
-            buckets = {}
-            for x in subset:
-                buckets.setdefault(s.f(x), []).append(x)
-            expect = all(
-                any(
-                    len({h(x) for x in members}) == len(members)
-                    for h in s.level2
+            # f and every level-2 hash reduce x mod p, so x and x + p
+            # collide everywhere: a subset no scheme distinguishes
+            for sub in (subset, [subset[0], subset[0] + FIELD_PRIME]):
+                buckets = {}
+                for x in sub:
+                    buckets.setdefault(s.f(x), []).append(x)
+                expect = all(
+                    any(
+                        len({h(x) for x in members}) == len(members)
+                        for h in s.level2
+                    )
+                    for members in buckets.values()
+                    if len(members) > 1
                 )
-                for members in buckets.values()
-                if len(members) > 1
-            )
-            assert distinguishes(s, subset) == expect
+                assert distinguishes(s, sub) == expect
+                expected.add(expect)
+        assert expected == {True, False}
 
     def test_distinguishes_trivial_cases(self):
         s = build_hash_scheme(100, 2, random.Random(8))
