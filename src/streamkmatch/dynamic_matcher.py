@@ -23,7 +23,14 @@ fingerprint sum of z^i (125 bits) and the payload sum on top,
 unbounded.  Each field holds its sum while the cell has taken fewer
 than 2^63 updates, so cells add as ints: deletions are exact inverses,
 grids with the same randomness merge cell-wise, and a cell is zero
-exactly when all its sums are.
+exactly when all its sums are.  z^i mod p, for the cell an update
+builds and for each decode candidate, comes from a fixed-base table
+drawn up with z (Brickell, Gordon, McCurley & Wilson 1992):
+z^(d * 16^t) for each digit d = 0..15 and each 4-bit digit position t
+of an index, 16 * ceil(bits / 4) ints per grid (bits =
+universe.bit_length(), so polylog n), and z^i is the product of one
+entry per digit of i, reduced once.  It gives pow(z, i, p) exactly, at
+about a fifth of its cost.
 
 Storage rule.  Each sampler keeps a top cell, the sum of every update
 it has taken (its level-0 suffix in every repetition), dropped at zero.
@@ -210,6 +217,15 @@ class CellGrid:
             random_kwise(kappa, span, rng) for _ in range(self.reps)
         ]
         self.z = rng.randrange(1, FIELD_PRIME)
+        # z^(d * 16^t) mod p at [t][d], for each 4-bit digit t of an index
+        self._zrows = rows = []
+        zt = self.z
+        for _ in range((universe.bit_length() + 3) // 4):
+            row = [1]
+            for _ in range(15):
+                row.append(row[-1] * zt % FIELD_PRIME)
+            rows.append(row)
+            zt = row[-1] * zt % FIELD_PRIME
         self.tops = {}      # base -> top cell, zeros dropped
         self._full = set()  # the bases that keep per-repetition cells
         # one-index top cell -> the samplers holding it; None after a merge
@@ -222,9 +238,18 @@ class CellGrid:
         # the fingerprint's offset; the index sum fills the bits below it
         self._fp_at = 2 * _C0_BITS + universe.bit_length()
 
+    def _zpow(self, i: int) -> int:
+        """z^i mod p for 0 <= i < universe: one table entry per 4-bit
+        digit of i, multiplied and reduced once."""
+        acc = 1
+        for row in self._zrows:
+            acc *= row[i & 15]
+            i >>= 4
+        return acc % FIELD_PRIME
+
     def _cell(self, index: int, d: int, payload) -> int:
         """The packed sums of d copies of index, each carrying payload."""
-        upper = (payload << _FP_BITS) + pow(self.z, index, FIELD_PRIME)
+        upper = (payload << _FP_BITS) + self._zpow(index)
         return d * (1 + (index << _C0_BITS) + (upper << self._fp_at))
 
     def _levels_of(self, index: int):
@@ -311,7 +336,7 @@ class CellGrid:
         distinct one-index top cell and one per full sampler that
         decodes, and the fail count, one per sampler that fails."""
         q = FIELD_PRIME
-        z = self.z
+        zpow = self._zpow
         universe = self.universe
         cget = self.cells.get
         full = self._full
@@ -346,12 +371,12 @@ class CellGrid:
                     if c1 % c0:
                         continue
                     j = c1 // c0
-                    if j >= universe:
+                    if j >= universe:  # also keeps j inside the power table
                         continue
                     # _split inlined: a call per candidate cost 9% of a decode
                     rest = s >> fp_at
                     fp = ((rest + fp_half) & fp_mask) - fp_half
-                    if (fp - c0 * pow(z, j, q)) % q == 0:
+                    if (fp - c0 * zpow(j)) % q == 0:
                         c2 = (rest - fp) >> _FP_BITS
                         if c2 % c0 == 0:
                             return j, c0, c2 // c0

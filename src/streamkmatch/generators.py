@@ -109,18 +109,17 @@ def gen_index_hard(m: int, x, z: int, n=None) -> Stream:
     r*_t--r_t are there for every s except bit z-1's row and every t
     except its column.  The graph has a 2*k1-matching iff bit z is
     set."""
-    if m < 1:
-        raise InvalidParameter("m must be >= 1")
+    require_int("m", m, 1)
     if len(x) != m or any(b not in (0, 1, "0", "1") for b in x):
         raise InvalidParameter(f"x must be {m} bits, each 0 or 1")
     bits = [int(b) for b in x]
-    if not 1 <= z <= m:
+    require_int("z", z, 1)
+    if z > m:
         raise InvalidParameter(f"z={z} outside [1, {m}]")
     k1 = math.ceil(math.sqrt(m))
     if n is None:
         n = 4 * k1 + 2
-    if n < 4 * k1 + 2:
-        raise InvalidParameter(f"n must be at least {4 * k1 + 2}")
+    require_int("n", n, 4 * k1 + 2)
     # every pair below is u < v < n by construction: no edge rule needed
     center = 4 * k1
     row, col = divmod(z - 1, k1)
@@ -143,15 +142,16 @@ def gen_partial_max_hard(values, deleted, n=None) -> Stream:
         raise InvalidParameter("values must be distinct")
     if any(not (0 <= a <= m * m) or a != int(a) for a in values):
         raise InvalidParameter(f"values must be integers in [0, {m * m}]")
+    for i in deleted:
+        require_int("deleted index", i, 1)
     deleted = sorted(set(deleted))
-    if deleted and (deleted[0] < 1 or deleted[-1] > m):
+    if deleted and deleted[-1] > m:
         raise InvalidParameter("deleted indices must lie in [1, m]")
     if len(deleted) >= m:
         raise InvalidParameter("at least one value must survive")
     if n is None:
         n = m + 1
-    if n < m + 1:
-        raise InvalidParameter(f"n must be at least {m + 1}")
+    require_int("n", n, m + 1)
     path = [Edge(i - 1, i, int(values[i - 1])) for i in range(1, m + 1)]
     elements = [StreamElement(e, INSERT) for e in path]
     elements += [StreamElement(path[i - 1], DELETE) for i in deleted]

@@ -60,13 +60,28 @@ class KWiseHash(NamedTuple):
 
 
 def random_kwise(kappa: int, r: int, rng) -> KWiseHash:
-    """A random degree-(kappa-1) polynomial over the field, range r."""
+    """A random degree-(kappa-1) polynomial over the field, range r.
+
+    Each coefficient is a 61-bit getrandbits draw, redrawn while it is
+    at least p: the calls randrange(0, FIELD_PRIME) makes when it draws
+    through getrandbits, as random.Random and its subclasses do unless
+    one overrides random() and not getrandbits.  On those rngs the
+    coefficients, and the rng's state after, equal randrange's.  The
+    direct loop skips randrange's argument handling, most of a draw's
+    cost; a dynamic grid makes most of its draws here.
+    """
     if kappa < 1:
         raise InvalidParameter(f"independence degree {kappa} < 1")
     if r < 1:
         raise InvalidParameter(f"range {r} < 1")
-    coeffs = tuple(rng.randrange(0, FIELD_PRIME) for _ in range(kappa))
-    return KWiseHash(coeffs, r)
+    draw, bits = rng.getrandbits, FIELD_PRIME.bit_length()
+    coeffs = []
+    for _ in range(kappa):
+        c = draw(bits)
+        while c >= FIELD_PRIME:
+            c = draw(bits)
+        coeffs.append(c)
+    return KWiseHash(tuple(coeffs), r)
 
 
 class HashScheme(NamedTuple):

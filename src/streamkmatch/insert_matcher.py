@@ -115,7 +115,8 @@ class InsertMatcher:
         reducer keeps a subset of its carry plus the segment.  The
         sketches share most of their edges, so the union is a set."""
         held = set(self.filling)
+        if self.reducers:  # every reducer reads the one segment
+            held.update(self.reducers[0].edges)
         for red in self.reducers:
-            held.update(red.edges)
             held.update(x[4] for x in red.carry)
         return max_weight_k_matching(held, self.k)

@@ -180,6 +180,11 @@ class TestIndexHard:
             gen_index_hard(4, "1010", 5)  # z out of range
         with pytest.raises(InvalidParameter):
             gen_index_hard(0, "", 1)
+        # a float probe once gave an instance with no cross edge, a float
+        # n or m a bare TypeError
+        for m, x, z, n in ((4, "0000", 1.5, None), (4, "1010", 1, 12.0), (4.0, "1010", 1, None)):
+            with pytest.raises(InvalidParameter):
+                gen_index_hard(m, x, z, n=n)
 
 
 class TestPartialMaxHard:
@@ -220,6 +225,11 @@ class TestPartialMaxHard:
             gen_partial_max_hard([1, 2], [3])  # index out of range
         with pytest.raises(InvalidParameter):
             gen_partial_max_hard([1, 2], [], n=2)  # path needs m+1 vertices
+        # a float index or n once raised a bare TypeError
+        with pytest.raises(InvalidParameter):
+            gen_partial_max_hard([1, 2, 3], [2.0])
+        with pytest.raises(InvalidParameter):
+            gen_partial_max_hard([1, 2, 3], [2], n=4.0)
 
 
 class TestBipartiteMatchingOracle:

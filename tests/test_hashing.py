@@ -88,6 +88,33 @@ class TestKWiseHash:
         assert len(h.coeffs) == 5
         assert all(0 <= h(x) < 9 for x in range(100))
 
+    def test_random_kwise_draws_as_randrange_does(self):
+        # the coefficients, and the rng's state after, match randrange's
+        for seed in range(300):
+            kappa = 1 + seed % 23
+            rng, ref = random.Random(seed), random.Random(seed)
+            h = random_kwise(kappa, 5, rng)
+            assert h.coeffs == tuple(ref.randrange(0, FIELD_PRIME) for _ in range(kappa))
+            assert rng.getstate() == ref.getstate()
+
+    def test_random_kwise_redraws_values_at_the_prime(self):
+        # 2^61 - 1 is the one 61-bit draw at or past p, and is redrawn
+        class Scripted(random.Random):
+            def __init__(self, script):
+                super().__init__(0)
+                self.script = list(script)
+
+            def getrandbits(self, k):
+                assert k == 61
+                return self.script.pop(0)
+
+        script = [FIELD_PRIME, 5, FIELD_PRIME, FIELD_PRIME, 0, FIELD_PRIME - 1]
+        ref = Scripted(script)
+        want = tuple(ref.randrange(0, FIELD_PRIME) for _ in range(3))
+        assert want == (5, 0, FIELD_PRIME - 1) and not ref.script
+        rng = Scripted(script)
+        assert random_kwise(3, 7, rng).coeffs == want and not rng.script
+
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameter):
             random_kwise(0, 4, random.Random(1))

@@ -7,6 +7,7 @@ import pytest
 
 from streamkmatch import (
     FAIL,
+    FIELD_PRIME,
     InvalidParameter,
     L0Sampler,
     Sample,
@@ -56,6 +57,36 @@ class TestConstruction:
         for d in (1 << 63, -(1 << 63), 2.5):
             with pytest.raises(InvalidParameter):
                 s.update(3, d)
+
+
+class TestFingerprintPowers:
+    def test_table_gives_pow_at_every_bit_length(self):
+        rng = random.Random(77)
+        for bits in range(1, 65):
+            for universe in (1 << (bits - 1), (1 << bits) - 1):
+                s = L0Sampler(universe, 0.5, random.Random(bits))
+                assert len(s._zrows) == -(-bits // 4)
+                assert all(len(row) == 16 for row in s._zrows)
+                idx = {0, universe - 1} | {rng.randrange(universe) for _ in range(20)}
+                for t in range(1, -(-bits // 4) + 1):  # each digit boundary
+                    idx |= {i for i in (16 ** t - 1, 16 ** t) if i < universe}
+                for i in idx:
+                    assert s._zpow(i) == pow(s.z, i, FIELD_PRIME), (universe, i)
+
+    def test_out_of_range_candidate_is_skipped_before_the_table(self):
+        # a suffix that reads as an index at or past universe, with a true
+        # fingerprint, must fail without a table read: the table holds
+        # the digits of indices below 16^rows only
+        s = L0Sampler(16, 0.5, random.Random(8))
+        past = 16 ** len(s._zrows)
+        assert s._zpow(past) != pow(s.z, past, FIELD_PRIME)
+        read = []
+        s._zpow = read.append
+        for j in (s.universe, past):
+            # count 1 (the low 64 bits), index sum j, fingerprint z^j
+            s.tops[0] = 1 + (j << 64) + (pow(s.z, j, FIELD_PRIME) << s._fp_at)
+            s._one_tops = None
+            assert s.query() is FAIL and read == []
 
 
 class TestDecoding:

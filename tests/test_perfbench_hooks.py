@@ -13,11 +13,14 @@ import random
 import pytest
 
 from streamkmatch import (
+    DynamicMatcher,
     Edge,
     InsertMatcher,
     ReducerState,
+    delete,
     dynamic_matcher,
     hashing,
+    insert,
     insert_matcher,
     reducer,
 )
@@ -54,6 +57,32 @@ def test_install_then_uninstall_restores_every_patched_name(tracing):
         tracer.uninstall()
     for m, names in zip(MODULES, before):
         assert {n: v for n, v in vars(m).items() if n in names} == names, m.__name__
+
+
+def test_traced_dynamic_update_counts_level_hashes(tracing):
+    # the tracer rebuilds each level hash from hashing.random_kwise's
+    # fields, so the traced grid must draw the same hashes and z as the
+    # plain one, and its level-hash calls must be counted.  At eps = 1/2,
+    # weights 4 and 5 share key 4: the delete leaves count 0 with a
+    # non-zero cell, which makes every touched sampler full and so
+    # evaluates the level hashes.
+    def run():
+        m = DynamicMatcher(8, 1, random.Random(5), epsilon=0.5)
+        m.process_update(insert(0, 1, 4))
+        m.process_update(delete(0, 1, 5))
+        return m
+
+    plain = run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run()
+        assert type(traced.level_hashes[0]).__name__ == "CountingKWiseHash"
+    finally:
+        tracer.uninstall()
+    assert traced.level_hashes == plain.level_hashes and traced.z == plain.z
+    assert traced._full and traced.tops == plain.tops and traced.cells == plain.cells
+    assert tracer.counted(None, "hash.level") > 0
 
 
 def test_traced_reducer_steps_equal_the_untraced_units(tracing):
