@@ -113,6 +113,7 @@ def edge(u: int, v: int, wt: Number, n=math.inf) -> Edge:
 
 def edge_index(u: int, v: int, n: int) -> int:
     """Number a canonical edge into [0, n(n-1)/2)."""
+    require_int("n", n, 0)
     if (fault := edge_fault(u, v, n=n)) is not None:
         raise InvalidParameter(fault)
     return u * n - u * (u + 1) // 2 + (v - u - 1)
@@ -125,9 +126,9 @@ def edge_at_index(eid: int, n: int) -> tuple:
     the j-th row from the end (row u = n - 2 - j) holds ids with
     j(j+1)/2 <= r < (j+1)(j+2)/2, so j = (isqrt(8r + 1) - 1) // 2.
     """
-    last = n * (n - 1) // 2 - 1
-    if not (n > 1 and 0 <= eid <= last):
-        raise InvalidParameter(f"edge id {eid} out of range for n={n}")
+    if not (isinstance(n, int) and n > 1 and isinstance(eid, int)
+            and 0 <= eid <= (last := n * (n - 1) // 2 - 1)):
+        raise InvalidParameter(f"edge id {eid!r} out of range for n={n!r}")
     r = last - eid
     j = (math.isqrt(8 * r + 1) - 1) // 2
     return (n - 2 - j, n - 1 - r + j * (j + 1) // 2)

@@ -45,20 +45,19 @@ def gen_random_stream(
     weights; in dynamic mode, deletions of live edges are interleaved."""
     require_int("n", n, 0)  # n * (n - 1) // 2 would admit edges for n < 0
     require_int("k", k, 0)
-    for name, value in (("edges", edges), ("deletes", deletes),
-                        ("weight_min", weight_min), ("weight_max", weight_max)):
-        require_int(name, value, -math.inf)  # the ranges below have their own messages
+    require_int("edges", edges, 0)
+    require_int("deletes", deletes, 0)
+    require_int("weight_min", weight_min, 0)
+    require_int("weight_max", weight_max, weight_min)
     universe = n * (n - 1) // 2
-    if edges < 0 or edges > universe:
+    if edges > universe:
         raise InvalidParameter(f"edge count {edges} not in [0, {universe}]")
     if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
         raise InvalidParameter(f"unknown mode {mode!r}")
     if mode == MODE_INSERT_ONLY and deletes:
         raise InvalidParameter("insert-only streams cannot delete")
-    if deletes < 0 or deletes > edges:
+    if deletes > edges:
         raise InvalidParameter("deletes must lie in [0, edges]")
-    if weight_min < 0 or weight_min > weight_max:
-        raise InvalidParameter("bad weight range")
     rng = random.Random(seed)
     eids = rng.sample(range(universe), edges)
     pending = [
@@ -73,6 +72,9 @@ def gen_random_stream(
 def interleave_deletes(n: int, k: int, pending, deletes: int, rng) -> Stream:
     """A dynamic stream that inserts the edges of `pending` in order
     and interleaves `deletes` deletions of live edges, drawn from rng."""
+    require_int("deletes", deletes, 0)
+    if deletes > len(pending):
+        raise InvalidParameter(f"deletes={deletes} > {len(pending)} inserts")
     elements = []
     live = []
     i_rem, d_rem = len(pending), deletes

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .core import InvalidParameter
+from .core import require_int
 
 # 2^61 - 1, prime; exceeds any universe size we accept and keeps all
 # intermediates comfortably inside native big-int fast paths.
@@ -39,8 +39,7 @@ class UniversalHash(NamedTuple):
 
 def random_universal(r: int, rng) -> UniversalHash:
     """Draw one function u.a.r. from the universal family with range r."""
-    if r < 1:
-        raise InvalidParameter(f"range {r} < 1")
+    require_int("r", r, 1)
     a = rng.randrange(1, FIELD_PRIME)
     b = rng.randrange(0, FIELD_PRIME)
     return UniversalHash(a, b, r)
@@ -70,10 +69,8 @@ def random_kwise(kappa: int, r: int, rng) -> KWiseHash:
     direct loop skips randrange's argument handling, most of a draw's
     cost; a dynamic grid makes most of its draws here.
     """
-    if kappa < 1:
-        raise InvalidParameter(f"independence degree {kappa} < 1")
-    if r < 1:
-        raise InvalidParameter(f"range {r} < 1")
+    require_int("kappa", kappa, 1)
+    require_int("r", r, 1)
     draw, bits = rng.getrandbits, FIELD_PRIME.bit_length()
     coeffs = []
     for _ in range(kappa):
@@ -98,8 +95,7 @@ class HashScheme(NamedTuple):
 def scheme_dimensions(k: int) -> tuple:
     """(d1, d2, d3, d4) for parameter k; d1 is the smallest power of two
     at least k/ln k."""
-    if k < 2:
-        raise InvalidParameter("scheme parameter k must be >= 2")
+    require_int("k", k, 2)
     lnk = math.log(k)
     ratio = k / lnk
     d1 = 1
@@ -113,11 +109,8 @@ def scheme_dimensions(k: int) -> tuple:
 def build_hash_scheme(universe_size: int, k: int, rng) -> HashScheme:
     """Sample a fresh scheme: f from the ceil(12 ln k)-wise family with
     range d1, and d2 independent universal functions with range d3."""
-    if k < 2:
-        raise InvalidParameter("scheme parameter k must be >= 2")
-    if universe_size < k:
-        raise InvalidParameter(f"universe size {universe_size} < k={k}")
     d1, d2, d3, d4 = scheme_dimensions(k)
+    require_int("universe_size", universe_size, k)
     kappa = math.ceil(12 * math.log(k))
     f = random_kwise(kappa, d1, rng)
     level2 = tuple(random_universal(d3, rng) for _ in range(d2))

@@ -26,9 +26,11 @@ from .solver import max_weight_k_matching
 
 
 def step_budget(k: int, epsilon: float) -> int:
-    """Per-arrival micro-step budget: enough to drain all in-flight
-    reductions (each at most C_RED*(8k^2 + k^2) steps) within one
-    segment of 4k^2 arrivals, with slack."""
+    """Per-arrival micro-step budget.  Each of the H = halvings(epsilon)
+    reductions in flight spends at most C_RED*(8k^2 + k^2) units and
+    must end within one segment of 4k^2 arrivals, so k cancels: 9/4 *
+    C_RED*H units an arrival suffice.  The budget, ceil(13*C_RED*H/4) + 1
+    for any k, carries 13/4 in place of 9/4 as calibrated slack."""
     return -(-13 * C_RED * halvings(epsilon) // 4) + 1
 
 

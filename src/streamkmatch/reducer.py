@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import islice
 
-from .core import InvalidParameter
+from .core import require_int
 from .hashing import FIELD_PRIME, UniversalHash, random_universal
 from .selection import Meter, select_steps, top_t_steps
 
@@ -58,8 +58,7 @@ C_RED = 24
 
 def new_vertex_partition(k: int, rng) -> UniversalHash:
     """A universal hash from vertices into [4k^2]."""
-    if k < 1:
-        raise InvalidParameter("k must be >= 1")
+    require_int("k", k, 1)
     return random_universal(4 * k * k, rng)
 
 
@@ -75,6 +74,7 @@ class ReducerState(Meter):
     kept = None
 
     def __init__(self, edges, f: UniversalHash, k: int, carry=()):
+        require_int("k", k, 1)
         self.edges = edges
         self.carry = carry
         self.f = f

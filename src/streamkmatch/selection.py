@@ -28,7 +28,7 @@ distinct, which keeps the three-way pivot split trivial.
 
 from __future__ import annotations
 
-from .core import InvalidParameter
+from .core import require_int
 
 
 class Meter:
@@ -48,8 +48,7 @@ class Meter:
         """Spend up to limit units; returns units spent (0 once done)."""
         if self.done:
             return 0
-        if limit < 0:
-            raise InvalidParameter(f"budget {limit} must be >= 0")
+        require_int("limit", limit, 0)
         pos, n, visit = self._pos, self._n, self._visit
         left = limit - (n - pos)
         if left < 0:  # the current pass outlasts the limit

@@ -122,6 +122,14 @@ class TestEdgeNumbering:
             edge_at_index(-1, 5)
         with pytest.raises(InvalidParameter):
             edge_at_index(0, -1)  # n(n-1)/2 = 1, but no pair lies under n = -1
+        # non-int sizes and ids once gave a float id or a bare TypeError
+        for bad in (10.5, 10.0, "10", None):
+            with pytest.raises(InvalidParameter, match="n="):
+                edge_index(1, 2, bad)
+        for eid, n in ((1.5, 10), (2.0, 10), ("1", 10), (None, 10),
+                       (0, 2.5), (0, 10.0), (0, "10"), (0, None)):
+            with pytest.raises(InvalidParameter, match="n="):
+                edge_at_index(eid, n)
 
 
 class TestMatching:

@@ -21,6 +21,7 @@ from streamkmatch import (
     stream_to_text,
 )
 from streamkmatch.acceptance import _log_uniform_dynamic_stream
+from streamkmatch.generators import interleave_deletes
 
 
 class TestRandomStream:
@@ -65,6 +66,12 @@ class TestRandomStream:
             with pytest.raises(InvalidParameter, match=name):
                 gen_random_stream(**{"n": 6, "k": 1, "edges": 4, "seed": 1, "mode": mode,
                                      name: value})
+        # each size names itself and its least value (weight_max: weight_min = 1)
+        for name, least in (("edges", 0), ("deletes", 0), ("weight_min", 0), ("weight_max", 1)):
+            for value in (2.5, 2.0, "3", None, least - 1):
+                with pytest.raises(InvalidParameter, match=f"^{name}=.* >= {least}$"):
+                    gen_random_stream(**{"n": 6, "k": 1, "edges": 4, "seed": 1, "mode": "dyn",
+                                         name: value})
 
 
 def _digest(stream):
@@ -91,6 +98,14 @@ class TestInterleavedDeletes:
     ])
     def test_criterion_8_streams_pinned(self, seed, digest):
         assert _digest(_log_uniform_dynamic_stream(40, 150, 50, seed)) == digest
+
+    def test_refuses_more_deletes_than_inserts(self):
+        # a negative count or more deletes than inserts once ran off the
+        # end of pending with a bare IndexError
+        pending = [Edge(0, 1, 1), Edge(1, 2, 1)]
+        for deletes in (-1, 3):
+            with pytest.raises(InvalidParameter, match="deletes="):
+                interleave_deletes(5, 1, pending, deletes, random.Random(1))
 
 
 class TestCanonicalStreamsPinned:

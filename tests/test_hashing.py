@@ -62,6 +62,9 @@ class TestUniversalHash:
     def test_bad_range(self):
         with pytest.raises(InvalidParameter):
             random_universal(0, random.Random(1))
+        for r in (2.5, 2.0, "7", None):  # a float range once passed
+            with pytest.raises(InvalidParameter, match="r="):
+                random_universal(r, random.Random(1))
 
     def test_collision_frequency(self):
         # universal family: Pr[h(x)=h(y)] <= 1/r for fixed x != y
@@ -120,6 +123,11 @@ class TestKWiseHash:
             random_kwise(0, 4, random.Random(1))
         with pytest.raises(InvalidParameter):
             random_kwise(3, 0, random.Random(1))
+        for bad in (2.5, 2.0, "3", None):
+            with pytest.raises(InvalidParameter, match="kappa="):
+                random_kwise(bad, 4, random.Random(1))
+            with pytest.raises(InvalidParameter, match="r="):
+                random_kwise(3, bad, random.Random(1))
 
     def test_matches_per_step_reduced_horner(self):
         # one reduction at the end gives the same value as reducing mod p
@@ -165,6 +173,9 @@ class TestSchemeDimensions:
     def test_rejects_small_k(self):
         with pytest.raises(InvalidParameter):
             scheme_dimensions(1)
+        for k in (2.5, 2.0, "3", None):
+            with pytest.raises(InvalidParameter, match="k="):
+                scheme_dimensions(k)
 
 
 class TestHashScheme:
@@ -173,6 +184,12 @@ class TestHashScheme:
             build_hash_scheme(100, 1, random.Random(1))
         with pytest.raises(InvalidParameter):
             build_hash_scheme(3, 4, random.Random(1))
+        for bad in (2.5, 2.0, "3", None):
+            with pytest.raises(InvalidParameter, match="k="):
+                build_hash_scheme(100, bad, random.Random(1))
+        for bad in (4.5, 100.0, "100", None):
+            with pytest.raises(InvalidParameter, match="universe_size="):
+                build_hash_scheme(bad, 4, random.Random(1))
 
     def test_structure(self):
         rng = random.Random(5)

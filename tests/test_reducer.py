@@ -70,6 +70,17 @@ class TestVertexPartition:
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidParameter):
             new_vertex_partition(0, random.Random(1))
+        # a float k once built a hash with a float range, and a k below 1
+        # ended a reduction in a bare IndexError
+        f = new_vertex_partition(2, random.Random(1))
+        edges = [Edge(0, 1, 5), Edge(2, 3, 4)]
+        for k in (0, -1, 1.5, 2.0, "3", None):
+            with pytest.raises(InvalidParameter, match="k="):
+                new_vertex_partition(k, random.Random(1))
+            with pytest.raises(InvalidParameter, match="k="):
+                ReducerState(edges, f, k)
+            with pytest.raises(InvalidParameter, match="k="):
+                reduce(edges, f, k)
 
 
 class TestCompactSubgraph:
@@ -182,6 +193,9 @@ class TestReducerState:
         state = ReducerState(edges, f, 2)
         with pytest.raises(InvalidParameter):
             state.step_upto(-3)
+        for bad in (1.5, 2.0, "3", None):  # once a bare TypeError
+            with pytest.raises(InvalidParameter, match="limit="):
+                state.step_upto(bad)
         assert not state.done
         assert set(state.run_to_completion()) == set(reduce(edges, f, 2))
         assert state.step_upto(-3) == 0  # a finished reducer spends nothing
