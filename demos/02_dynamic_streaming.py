@@ -35,7 +35,7 @@ stats = matcher.stats()
 
 print(f"grid: {stats['live_samplers']} live samplers "
       f"({stats['negative_samplers']} with a negative count), "
-      f"{stats['keys_touched_last']} keys touched per update")
+      f"{matcher.scheme.d2 ** 2} keys touched per update")
 print(f"  {stats['cells']} per-repetition cells, stored by samplers that took "
       f"two distinct edges")
 if answer is NO_K_MATCHING:

@@ -66,10 +66,14 @@ def _ints(text, option):
         raise InvalidParameter(f"{option} takes integers, not {text!r}") from None
 
 
-def _load(path):
-    if path == "-":
-        return read_stream(sys.stdin)
-    return read_stream(path)
+def _stream_and_k(args, mode=None):
+    """args.stream (`-` is stdin), refused unless in `mode` when one is
+    given, and its k: --k, else the header's k."""
+    stream = read_stream(sys.stdin if args.stream == "-" else args.stream)
+    if mode is not None and stream.mode != mode:
+        what = "an insert-only" if mode == MODE_INSERT_ONLY else "a dynamic"
+        raise InvalidParameter(f"{args.command} expects {what} stream")
+    return stream, stream.k if args.k is None else args.k
 
 
 def _cmd_gen(args, out):
@@ -101,10 +105,7 @@ def _cmd_gen(args, out):
 
 
 def _cmd_run_ins(args, out):
-    stream = _load(args.stream)
-    if stream.mode != MODE_INSERT_ONLY:
-        raise InvalidParameter("run-ins expects an insert-only stream")
-    k = stream.k if args.k is None else args.k
+    stream, k = _stream_and_k(args, MODE_INSERT_ONLY)
     matcher = InsertMatcher(stream.n, k, args.epsilon, random.Random(args.seed))
     for el in stream.elements:
         matcher.process_insert(el.edge)
@@ -113,10 +114,7 @@ def _cmd_run_ins(args, out):
 
 
 def _cmd_run_dyn(args, out):
-    stream = _load(args.stream)
-    if stream.mode != MODE_DYNAMIC:
-        raise InvalidParameter("run-dyn expects a dynamic stream")
-    k = stream.k if args.k is None else args.k
+    stream, k = _stream_and_k(args, MODE_DYNAMIC)
     matcher = DynamicMatcher(
         stream.n,
         k,
@@ -132,9 +130,8 @@ def _cmd_run_dyn(args, out):
 
 
 def _cmd_oracle(args, out):
-    stream = _load(args.stream)
+    stream, k = _stream_and_k(args)
     live = materialize(stream.elements, stream.n)
-    k = stream.k if args.k is None else args.k
     _emit_matching(max_weight_k_matching(live, k), {"edges_live": len(live)},
                    args.format, out)
     return 0
@@ -173,28 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("run-ins", help="stream an insert-only file")
-    p.add_argument("stream")
-    p.add_argument("--k", type=int, default=None)
+    stream_opts = argparse.ArgumentParser(add_help=False)
+    stream_opts.add_argument("stream")
+    stream_opts.add_argument("--k", type=int, default=None)
+    stream_opts.add_argument("--format", choices=("text", "json"), default="text")
+    run_opts = argparse.ArgumentParser(add_help=False, parents=[stream_opts])
+    run_opts.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("run-ins", parents=[run_opts], help="stream an insert-only file")
     p.add_argument("--epsilon", type=float, default=1 / 16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_run_ins)
 
-    p = sub.add_parser("run-dyn", help="stream a dynamic file")
-    p.add_argument("stream")
-    p.add_argument("--k", type=int, default=None)
+    p = sub.add_parser("run-dyn", parents=[run_opts], help="stream a dynamic file")
     p.add_argument("--epsilon", type=float, default=None,
                    help="enable weight-rounding approximation")
     p.add_argument("--delta-override", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_run_dyn)
 
-    p = sub.add_parser("oracle", help="materialize and solve exactly")
-    p.add_argument("stream")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = sub.add_parser("oracle", parents=[stream_opts], help="materialize and solve exactly")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("accept", help="run the acceptance suite")

@@ -251,7 +251,7 @@ def read_stream(source) -> Stream:
     """Parse the stream text format; inverse of stream_to_text."""
     close = False
     if isinstance(source, (str, bytes)):
-        source = open(source)
+        source = open(source, errors="surrogateescape")  # a bad byte is a bad token
         close = True
     try:
         header = source.readline().split()

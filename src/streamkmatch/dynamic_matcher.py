@@ -500,7 +500,7 @@ class DynamicMatcher(CellGrid):
         self._live = {} if validate else None
         # instrumentation
         self.updates = 0
-        self.last_keys_touched = 0
+        self.last_keys_touched = self.scheme.d2 ** 2  # hu x hv, every update
         self.last_fail_count = 0
 
     # -- update path ---------------------------------------------------
@@ -535,7 +535,6 @@ class DynamicMatcher(CellGrid):
         rows = [wb + i * d4 for i in hu]
         self._add([r + j for r in rows for j in hv], eid, self._cell(eid, d, w))
         self.updates += 1
-        self.last_keys_touched = len(hu) * len(hv)
 
     # -- query path ----------------------------------------------------
 
@@ -570,7 +569,6 @@ class DynamicMatcher(CellGrid):
             "live_samplers": live,
             "negative_samplers": negative,
             "cells": len(self.cells),
-            "keys_touched_last": self.last_keys_touched,
             "fail_count_last_query": self.last_fail_count,
             "decodes_last_query": self.last_decodes,
         }

@@ -24,9 +24,8 @@ from .core import (
     MODE_INSERT_ONLY,
     Stream,
     StreamElement,
-    delete,
+    edge,
     edge_at_index,
-    insert,
     require_int,
 )
 
@@ -71,10 +70,16 @@ def gen_random_stream(
 
 def interleave_deletes(n: int, k: int, pending, deletes: int, rng) -> Stream:
     """A dynamic stream that inserts the edges of `pending` in order
-    and interleaves `deletes` deletions of live edges, drawn from rng."""
+    and interleaves `deletes` deletions of live edges, drawn from rng.
+    Each edge is checked once, against n; a vertex pair may occur once."""
+    require_int("n", n, 0)
+    require_int("k", k, 0)
     require_int("deletes", deletes, 0)
     if deletes > len(pending):
         raise InvalidParameter(f"deletes={deletes} > {len(pending)} inserts")
+    pending = [edge(*e, n) for e in pending]
+    if len({(e.u, e.v) for e in pending}) < len(pending):
+        raise InvalidParameter("pending repeats a vertex pair")
     elements = []
     live = []
     i_rem, d_rem = len(pending), deletes
@@ -89,13 +94,13 @@ def interleave_deletes(n: int, k: int, pending, deletes: int, rng) -> Stream:
             at = rng.randrange(len(live))
             live[at], live[-1] = live[-1], live[at]
             e = live.pop()
-            elements.append(delete(e.u, e.v, e.wt))
+            elements.append(StreamElement(e, DELETE))
             d_rem -= 1
         else:
             e = pending[pos]
             pos += 1
             live.append(e)
-            elements.append(insert(e.u, e.v, e.wt))
+            elements.append(StreamElement(e, INSERT))
             i_rem -= 1
     return Stream(n, k, MODE_DYNAMIC, tuple(elements))
 

@@ -133,9 +133,10 @@ class TestRun:
         assert json.loads(out)["stats"] == m.stats()
         assert m.stats()["updates"] == 60
 
-    def test_run_ins_rejects_dyn_stream(self, dyn_stream):
+    def test_run_ins_rejects_dyn_stream(self, dyn_stream, capsys):
         code, _ = run_cli("run-ins", dyn_stream)
         assert code == 2
+        assert capsys.readouterr().err == "error: run-ins expects an insert-only stream\n"
 
     def test_run_dyn(self, dyn_stream):
         code, out = run_cli("run-dyn", dyn_stream, "--seed", "4",
@@ -194,9 +195,10 @@ class TestRun:
         assert code == 0
         assert "weight 14" in out.splitlines()
 
-    def test_run_dyn_rejects_ins_stream(self, ins_stream):
+    def test_run_dyn_rejects_ins_stream(self, ins_stream, capsys):
         code, _ = run_cli("run-dyn", ins_stream)
         assert code == 2
+        assert capsys.readouterr().err == "error: run-dyn expects a dynamic stream\n"
 
     def test_run_ins_text_without_a_k_matching(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -277,6 +279,20 @@ class TestBadInput:
         code, out = run_cli(command, str(path))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("data, where", [
+        (b"6 1 ins\n+ 0 1 \xff\n", "element 0: bad number"),
+        (b"\xff\xfe6 1 ins\n+ 0 1 3\n", "element -1: bad header"),
+    ], ids=["weight-byte", "header-bytes"])
+    @pytest.mark.parametrize("command", ["run-ins", "run-dyn", "oracle"])
+    def test_undecodable_file_exit_2(self, tmp_path, capsys, command, data, where):
+        # a byte that is not UTF-8 once ended in a UnicodeDecodeError traceback
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+
 
 class TestK:
     @pytest.fixture()
@@ -327,6 +343,17 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
+
+    @pytest.mark.parametrize("command, own", [
+        ("run-ins", {"seed": 0, "epsilon": 1 / 16}),
+        ("run-dyn", {"seed": 0, "epsilon": None, "delta_override": None}),
+        ("oracle", {}),
+    ])
+    def test_stream_command_defaults(self, command, own):
+        args = vars(build_parser().parse_args([command, "s"]))
+        del args["fn"]
+        shared = {"command": command, "stream": "s", "k": None, "format": "text"}
+        assert args == {**shared, **own}
 
     def test_bench_is_not_a_subcommand(self):
         # latency is measured by perfbench/run.py

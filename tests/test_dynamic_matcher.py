@@ -279,6 +279,7 @@ class TestExactMode:
 
     def test_instrumentation(self):
         m = DynamicMatcher(30, 2, random.Random(5))
+        assert m.last_keys_touched == m.scheme.d2 ** 2
         m.process_update(insert(0, 1, 5))
         assert m.updates == 1
         assert m.last_keys_touched == m.scheme.d2 ** 2

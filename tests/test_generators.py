@@ -107,6 +107,16 @@ class TestInterleavedDeletes:
             with pytest.raises(InvalidParameter, match="deletes="):
                 interleave_deletes(5, 1, pending, deletes, random.Random(1))
 
+    @pytest.mark.parametrize("n, pending, match", [
+        (5, [Edge(0, 9, 1)], "n=5"),
+        (5, [Edge(0, 1, 1), Edge(1, 0, 2)], "repeats a vertex pair"),
+        (5.0, [Edge(0, 1, 1)], "n=5.0"),
+    ], ids=["out-of-range", "repeated-pair", "float-n"])
+    def test_refuses_edges_the_header_cannot_hold(self, n, pending, match):
+        # each once built a stream whose header n or live set it broke
+        with pytest.raises(InvalidParameter, match=match):
+            interleave_deletes(n, 1, pending, 1, random.Random(1))
+
 
 class TestCanonicalStreamsPinned:
     """The generators build their elements without the edge rule; these
