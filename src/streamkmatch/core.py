@@ -164,12 +164,12 @@ class Matching(NamedTuple):
 
     @property
     def weight(self) -> Number:
-        """The sum of the weights; exact (a Fraction) where a float sum
+        """The sum of the weights; exact (a Fraction) where a plain sum
         would overflow (an int weight past the float range next to a
-        float one)."""
+        float one) or cannot add (a Decimal weight next to a float one)."""
         try:
             return sum(e.wt for e in self.edges)
-        except OverflowError:
+        except (OverflowError, TypeError):
             return sum(Fraction(e.wt) for e in self.edges)
 
     @property
@@ -231,9 +231,11 @@ class Stream(NamedTuple):
 
 
 def stream_to_text(stream: Stream) -> str:
-    """Serialize in the line format: header 'n k mode', then '+/- u v w'."""
+    """Serialize as 'n k mode', then '+/- u v w': int ids, an int or float weight."""
     lines = [f"{stream.n} {stream.k} {stream.mode}\n"]
-    for e, op in stream.elements:
+    for pos, (e, op) in enumerate(stream.elements):
+        if not (type(e.u) is type(e.v) is int and type(e.wt) in (int, float)):
+            raise InvalidParameter(f"stream element {pos}: {e} needs int ids, an int or float wt")
         lines.append(f"{op} {e.u} {e.v} {e.wt!r}\n")
     return "".join(lines)
 
@@ -249,41 +251,36 @@ def _parse_weight(token: str, mode: str) -> Number:
 
 def read_stream(source) -> Stream:
     """Parse the stream text format; inverse of stream_to_text."""
-    close = False
     if isinstance(source, (str, bytes)):
-        source = open(source, errors="surrogateescape")  # a bad byte is a bad token
-        close = True
+        with open(source, errors="surrogateescape") as fh:  # a bad byte is a bad token
+            return read_stream(fh)
+    header = source.readline().split()
+    if len(header) != 3:
+        raise MalformedStream(-1, "header must be 'n k mode'")
     try:
-        header = source.readline().split()
-        if len(header) != 3:
-            raise MalformedStream(-1, "header must be 'n k mode'")
+        n, k, mode = int(header[0]), int(header[1]), header[2]
+    except ValueError:
+        raise MalformedStream(-1, f"bad header {header!r}") from None
+    if n < 0 or k < 0:
+        raise MalformedStream(-1, f"header sizes n={n}, k={k} must be >= 0")
+    if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
+        raise MalformedStream(-1, f"unknown mode {mode!r}")
+    elements = []
+    for line in source:
+        parts = line.split()
+        if not parts:
+            continue
+        pos = len(elements)
+        if len(parts) != 4 or parts[0] not in (INSERT, DELETE):
+            raise MalformedStream(pos, f"bad element line {line!r}")
         try:
-            n, k, mode = int(header[0]), int(header[1]), header[2]
+            op, u, v = parts[0], int(parts[1]), int(parts[2])
+            wt = _parse_weight(parts[3], mode)
         except ValueError:
-            raise MalformedStream(-1, f"bad header {header!r}") from None
-        if n < 0 or k < 0:
-            raise MalformedStream(-1, f"header sizes n={n}, k={k} must be >= 0")
-        if mode not in (MODE_INSERT_ONLY, MODE_DYNAMIC):
-            raise MalformedStream(-1, f"unknown mode {mode!r}")
-        elements = []
-        for line in source:
-            parts = line.split()
-            if not parts:
-                continue
-            pos = len(elements)
-            if len(parts) != 4 or parts[0] not in (INSERT, DELETE):
-                raise MalformedStream(pos, f"bad element line {line!r}")
-            try:
-                op, u, v = parts[0], int(parts[1]), int(parts[2])
-                wt = _parse_weight(parts[3], mode)
-            except ValueError:
-                raise MalformedStream(pos, f"bad number in {line!r}") from None
-            if mode == MODE_INSERT_ONLY and op == DELETE:
-                raise MalformedStream(pos, "delete in insert-only stream")
-            if u > v:
-                u, v = v, u
-            elements.append(StreamElement(Edge(u, v, wt), op))
-        return Stream(n, k, mode, tuple(elements))
-    finally:
-        if close:
-            source.close()
+            raise MalformedStream(pos, f"bad number in {line!r}") from None
+        if mode == MODE_INSERT_ONLY and op == DELETE:
+            raise MalformedStream(pos, "delete in insert-only stream")
+        if u > v:
+            u, v = v, u
+        elements.append(StreamElement(Edge(u, v, wt), op))
+    return Stream(n, k, mode, tuple(elements))

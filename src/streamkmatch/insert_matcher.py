@@ -41,7 +41,6 @@ class InsertMatcher:
         require_open_unit("epsilon", epsilon)
         self.n = n
         self.k = k
-        self.epsilon = epsilon
         self.hashes = [new_vertex_partition(k, rng) for _ in range(halvings(epsilon))]
         self.segment_size = 4 * k * k
         self.budget = step_budget(k, epsilon)
@@ -50,8 +49,19 @@ class InsertMatcher:
         self.arrivals = 0
         # instrumentation (cheap, always on)
         self.max_steps_per_insert = 0
-        self.stored_edges = 0
-        self.peak_stored_edges = 0
+        self.finished_peak = 0  # the peak of the finished segments
+
+    @property
+    def stored_edges(self) -> int:
+        """The buffer and, per hash, the sketch and the reducer's input."""
+        return len(self.filling) + sum(2 * len(r.carry) + len(r.edges) for r in self.reducers)
+
+    @property
+    def peak_stored_edges(self) -> int:
+        """The most edges stored after any arrival.  The count only grows
+        between rotations, so a finished segment peaked one arrival before
+        its last, which rotated it; _rotate keeps that count."""
+        return max(self.finished_peak, self.stored_edges)
 
     @property
     def space_bound(self) -> int:
@@ -64,7 +74,6 @@ class InsertMatcher:
             raise MalformedStream(self.arrivals, fault)
         self.filling.append(e)
         self.arrivals += 1
-        self.stored_edges += 1
         # reductions finish in order, so all are done once the last is
         if self.reducers and not self.reducers[-1].done:
             remaining = self.budget
@@ -76,23 +85,19 @@ class InsertMatcher:
                     break
             if self.budget - remaining > self.max_steps_per_insert:
                 self.max_steps_per_insert = self.budget - remaining
-        if self.arrivals % self.segment_size == 0:
+        if len(self.filling) == self.segment_size:
             self._rotate()
-        if self.stored_edges > self.peak_stored_edges:
-            self.peak_stored_edges = self.stored_edges
 
     def _rotate(self) -> None:
         if not all(red.done for red in self.reducers):
             # the budget is sized to make this unreachable
             raise RuntimeError("reduction missed its segment deadline")
+        self.finished_peak = max(self.finished_peak, self.stored_edges - 1)
         segment = self.filling
         self.filling = []
         sketches = [red.kept for red in self.reducers] or [()] * len(self.hashes)
         self.reducers = [ReducerState(segment, f, self.k, sketch)
                          for f, sketch in zip(self.hashes, sketches)]
-        # stored_edges counts the buffer and, per hash, the sketch and
-        # the reducer's input (sketch plus segment), as space_bound does
-        self.stored_edges = sum(2 * len(sketch) + len(segment) for sketch in sketches)
 
     def stats(self) -> dict:
         return {

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from streamkmatch import (
     DELETE,
     Edge,
     INSERT,
+    InsertMatcher,
     InvalidParameter,
     MalformedStream,
     Matching,
@@ -154,6 +156,16 @@ class TestMatching:
         assert Matching(edges).weight == exact
         assert max_weight_k_matching(list(edges), 2).weight == exact
 
+    def test_weight_of_a_decimal_next_to_a_float_is_exact(self):
+        # the edge rule admits both, but a Decimal and a float do not add
+        edges = [Edge(0, 1, Decimal("0.5")), Edge(2, 3, 2.5)]
+        assert Matching(tuple(edges)).weight == Fraction(3)
+        assert max_weight_k_matching(edges, 2).weight == Fraction(3)
+        m = InsertMatcher(10, 2, 0.5, random.Random(1))
+        for e in edges:
+            m.process_insert(e)
+        assert m.query().weight == Fraction(3)
+
 
 class TestReplay:
     def test_materialize_tracks_live_set(self):
@@ -218,6 +230,17 @@ class TestStreamFormat:
         assert lines[3] == "- 0 1 5"
         again = read_stream(io.StringIO(text))
         assert again == stream
+
+    @pytest.mark.parametrize("e", [
+        Edge(False, 1, 5), Edge(0, True, 5), Edge(0, 1, True), Edge(0, 1, False),
+        Edge(0, 1, Fraction(1, 3)), Edge(0, 1, Decimal("0.5")),
+    ])
+    def test_refuses_an_element_read_stream_cannot_read_back(self, e):
+        # each was once written as False, True, Fraction(1, 3) or
+        # Decimal('0.5'), a line read_stream refuses
+        stream = Stream(6, 1, MODE_INSERT_ONLY, (insert(2, 3, 9), StreamElement(e, INSERT)))
+        with pytest.raises(InvalidParameter, match="stream element 1"):
+            stream_to_text(stream)
 
     def test_file_round_trip(self, tmp_path):
         stream = Stream(4, 1, MODE_INSERT_ONLY, (insert(0, 2, 3),))

@@ -192,6 +192,27 @@ class TestEndToEnd:
         assert got.weight == 9
 
 
+class TestMissRate:
+    @pytest.mark.parametrize("eps", [0.5, 0.25])
+    def test_k1_miss_rate_sits_at_its_bound(self, eps):
+        """A heavy edge, then 40 light disjoint ones, at k = 1: by the
+        query the heavy edge is held only in the carried sketches, and it
+        is lost exactly when each of the H hashes puts 0 and 1 in one of
+        its 4 buckets, so at the rate 4^-H <= eps.  Over 2000 fixed
+        seeds the miss count must lie within 5 sigma of 2000 * 4^-H, a
+        two-sided false-alarm rate of about 6e-7 per band."""
+        trials, p = 2000, 4.0 ** -halvings(eps)
+        stream = [Edge(0, 1, 10**6)] + [Edge(2 * i, 2 * i + 1, 1) for i in range(1, 41)]
+        misses = 0
+        for seed in range(trials):
+            m = InsertMatcher(100, 1, eps, random.Random(seed))
+            for e in stream:
+                m.process_insert(e)
+            misses += m.query().weight != 10**6
+        assert abs(misses - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+        assert misses < trials * eps
+
+
 class TestBudgets:
     def test_micro_steps_never_exceed_budget(self):
         for trial in range(10):
@@ -302,6 +323,7 @@ class TestAgainstReferenceMachine:
                 m.process_insert(el.edge)
                 ref.process_insert(el.edge)
                 assert m.stored_edges == _recount(m) == ref.stored_edges()
+                assert m.peak_stored_edges == ref.peak_stored_edges
                 if i % 37 == 36:
                     m.query()
                     assert m.stored_edges == _recount(m)
