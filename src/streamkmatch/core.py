@@ -10,6 +10,7 @@ when weights collide.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -116,22 +117,33 @@ def edge_index(u: int, v: int, n: int) -> int:
     require_int("n", n, 0)
     if (fault := edge_fault(u, v, n=n)) is not None:
         raise InvalidParameter(fault)
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
+    return pair_index(u, v, n)
 
 
 def edge_at_index(eid: int, n: int) -> tuple:
-    """Inverse of edge_index, in exact integers.
+    """Inverse of edge_index."""
+    if not (isinstance(n, int) and n > 1 and isinstance(eid, int)
+            and 0 <= eid < n * (n - 1) // 2):
+        raise InvalidParameter(f"edge id {eid!r} out of range for n={n!r}")
+    return pair_at(eid, n)
+
+
+def pair_index(u: int, v: int, n: int) -> int:
+    """edge_index without its checks, for a pair that passed the edge rule."""
+    return u * n - u * (u + 1) // 2 + (v - u - 1)
+
+
+def pair_at(eid: int, n: int) -> tuple:
+    """edge_at_index without its checks, in exact integers, for an int
+    id in [0, n(n-1)/2).
 
     Counted back from the last id, r = N - 1 - eid for N = n(n-1)/2,
     the j-th row from the end (row u = n - 2 - j) holds ids with
     j(j+1)/2 <= r < (j+1)(j+2)/2, so j = (isqrt(8r + 1) - 1) // 2.
     """
-    if not (isinstance(n, int) and n > 1 and isinstance(eid, int)
-            and 0 <= eid <= (last := n * (n - 1) // 2 - 1)):
-        raise InvalidParameter(f"edge id {eid!r} out of range for n={n!r}")
-    r = last - eid
+    r = n * (n - 1) // 2 - 1 - eid
     j = (math.isqrt(8 * r + 1) - 1) // 2
-    return (n - 2 - j, n - 1 - r + j * (j + 1) // 2)
+    return n - 2 - j, n - 1 - r + j * (j + 1) // 2
 
 
 def halvings(p) -> int:
@@ -231,12 +243,21 @@ class Stream(NamedTuple):
 
 
 def stream_to_text(stream: Stream) -> str:
-    """Serialize as 'n k mode', then '+/- u v w': int ids, an int or float weight."""
+    """Serialize as 'n k mode', then '+/- u v w': int ids, an int weight,
+    or in an insert-only stream an int or float one.  An element that
+    read_stream could not read back raises InvalidParameter."""
     lines = [f"{stream.n} {stream.k} {stream.mode}\n"]
+    kinds, kind_names = (((int,), "an int") if stream.mode == MODE_DYNAMIC
+                         else ((int, float), "an int or float"))
     for pos, (e, op) in enumerate(stream.elements):
-        if not (type(e.u) is type(e.v) is int and type(e.wt) in (int, float)):
-            raise InvalidParameter(f"stream element {pos}: {e} needs int ids, an int or float wt")
-        lines.append(f"{op} {e.u} {e.v} {e.wt!r}\n")
+        try:
+            if type(e.u) is type(e.v) is int and type(e.wt) in kinds:
+                lines.append(f"{op} {e.u} {e.v} {e.wt!r}\n")
+                continue
+            fault = f"{e} needs int ids and {kind_names} wt"
+        except ValueError:  # str() refuses an int this long, as int() would read it back
+            fault = f"an int has more than {sys.get_int_max_str_digits()} digits"
+        raise InvalidParameter(f"stream element {pos}: {fault}")
     return "".join(lines)
 
 

@@ -36,24 +36,27 @@ Storage rule.  Each sampler keeps a top cell, the sum of every update
 it has taken (its level-0 suffix in every repetition), dropped at zero.
 While its updates all carry one index and its count is not zero, that
 cell is all it stores: its index sum is exactly count * index, and each
-repetition would hold that one cell at the index's level, so decoding
-it runs the checks repetition 0 runs, once per distinct top cell a
-query meets.  An update with a second index makes the sampler full: the
-top cell is spread to its index's levels, and every later update also
-reaches the per-repetition cells of its index's levels.  So does an
-update that zeroes the count but not the cell (approximation mode: a
-delete whose weight differs from its insert's but rounds to the same
-key), while the index can still be read.  A full sampler stays full
-until its top cell is zero; its cells are then zero too unless its net
-multiplicities have a fingerprint sum vanishing at z, the same
-<= universe/q event the decoder accepts as a false decode.  The stored
-state depends on order (+a, +b, -b leaves a full sampler; +a merged
-with +b, -b leaves a one-index one), the decode does not; dense_cells()
-is the order-free view, every sampler spread to its levels.  The grid
-keeps the count of samplers per one-index top cell as updates arrive,
-so a query reads the distinct cells from that count and walks only the
-full samplers; a merge leaves the count for the next query to rebuild
-in one pass over every sampler.
+repetition would hold that one cell at the index's level.  One decode
+rule reads every suffix, in a full sampler's walk and in such a top
+cell alike: a count in (0, 2^63), an index sum that the count divides
+into an index below universe, the fingerprint, and a payload sum that
+the count divides.  A query reads each distinct one-index top cell
+once by that rule, with no walk.  An update with a second index makes
+the sampler full: the top cell is spread to its index's levels, and
+every later update also reaches the per-repetition cells of its
+index's levels.  So does an update that zeroes the count but not the
+cell (approximation mode: a delete whose weight differs from its
+insert's but rounds to the same key), while the index can still be
+read.  A full sampler stays full until its top cell is zero; its cells
+are then zero too unless its net multiplicities have a fingerprint sum
+vanishing at z, the same <= universe/q event the decoder accepts as a
+false decode.  The stored state depends on order (+a, +b, -b leaves a
+full sampler; +a merged with +b, -b leaves a one-index one), the decode
+does not; dense_cells() is the order-free view, every sampler spread to
+its levels.  The grid keeps the count of samplers per one-index top
+cell as updates arrive, so a query reads the distinct cells from that
+count and walks only the full samplers; a merge leaves the count for
+the next query to rebuild in one pass over every sampler.
 
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
@@ -77,17 +80,16 @@ from typing import NamedTuple
 
 from .core import (
     DELETE,
-    Edge,
     INSERT,
     InvalidParameter,
     MalformedStream,
     Sentinel,
     StreamElement,
     apply_update,
-    edge_at_index,
     edge_fault,
-    edge_index,
     halvings,
+    pair_at,
+    pair_index,
     require_int,
     require_open_unit,
 )
@@ -359,33 +361,43 @@ class CellGrid:
                     s += c
                     yield s
 
+        def read(s):
+            """The (index, count, payload per copy) of suffix s; None if
+            s is not one index, False if its fingerprint matches but its
+            payload does not divide."""
+            # unsigned reads: a decodable suffix has 0 < c0 < 2^63, c1 >= 0
+            c0 = s & c0_mask
+            if not 0 < c0 < c0_cap:
+                return None
+            c1 = (s >> _C0_BITS) & c1_mask
+            if c1 % c0:
+                return None
+            j = c1 // c0
+            if j >= universe:  # also keeps j inside the power table
+                return None
+            # _split inlined: a call per candidate cost 9% of a decode
+            rest = s >> fp_at
+            fp = ((rest + fp_half) & fp_mask) - fp_half
+            if (fp - c0 * zpow(j)) % q:
+                return None
+            c2 = (rest - fp) >> _FP_BITS
+            return False if c2 % c0 else (j, c0, c2 // c0)
+
         def first_decode(walks):
-            """The first suffix that decodes, trying walks in order."""
+            """The first suffix that decodes, trying walks in order; a
+            walk ends at a fingerprint match."""
             for walk in walks:
                 for s in walk:
-                    # unsigned reads: a decodable suffix has 0 < c0 < 2^63, c1 >= 0
-                    c0 = s & c0_mask
-                    if not 0 < c0 < c0_cap:
-                        continue
-                    c1 = (s >> _C0_BITS) & c1_mask
-                    if c1 % c0:
-                        continue
-                    j = c1 // c0
-                    if j >= universe:  # also keeps j inside the power table
-                        continue
-                    # _split inlined: a call per candidate cost 9% of a decode
-                    rest = s >> fp_at
-                    fp = ((rest + fp_half) & fp_mask) - fp_half
-                    if (fp - c0 * zpow(j)) % q == 0:
-                        c2 = (rest - fp) >> _FP_BITS
-                        if c2 % c0 == 0:
-                            return j, c0, c2 // c0
+                    got = read(s)
+                    if got is not None:
+                        if got:
+                            return got
                         break
             return None
 
         # every repetition of a one-index sampler meets its one top cell
-        # at the index's level, so each distinct one-index top cell
-        # decodes once for all the samplers holding it
+        # at the index's level, so each distinct one-index top cell is
+        # read once, with no walk, for all the samplers holding it
         tops = self.tops
         ones = self._one_tops
         if ones is None:
@@ -402,7 +414,7 @@ class CellGrid:
                 kb = base << shift
                 got.append((first_decode(suffixes(kb | (rep << lev_bits))
                                          for rep in reps), 1))
-        got += [(first_decode(((top,),)), n) for top, n in ones.items()]
+        got += [(read(top) or None, n) for top, n in ones.items()]
         self.last_decodes = len(got)
         return ([g for g, _ in got if g is not None],
                 sum(n for g, n in got if g is None))
@@ -531,7 +543,7 @@ class DynamicMatcher(CellGrid):
         hv = scheme_eval(self.scheme, v)
         d4 = self.scheme.d4
         wb = key_w * d4 * d4
-        eid = edge_index(u, v, self.n)
+        eid = pair_index(u, v, self.n)  # the edge rule passed above
         rows = [wb + i * d4 for i in hu]
         self._add([r + j for r in rows for j in hv], eid, self._cell(eid, d, w))
         self.updates += 1
@@ -543,8 +555,10 @@ class DynamicMatcher(CellGrid):
         # (an unvalidated stream may insert a pair twice): order-free
         found, self.last_fail_count = self._decode()
         weights = dict(sorted((eid, wt) for eid, _, wt in found))
+        n = self.n
+        # a decoded id is below the universe, n(n-1)/2: no second check
         return max_weight_k_matching(
-            [Edge(*edge_at_index(eid, self.n), wt) for eid, wt in weights.items()], self.k)
+            [pair_at(eid, n) + (wt,) for eid, wt in weights.items()], self.k)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -37,12 +37,32 @@ class UniversalHash(NamedTuple):
         return ((self.a * x + self.b) % FIELD_PRIME) % self.r
 
 
+def _below(draw, bounds) -> list:
+    """A value in [0, bound) for each bound in bounds, each in
+    (2^60, 2^61]: a 61-bit draw, redrawn while it is at least bound.
+
+    These are the calls randrange makes for a range of that width when
+    it draws through getrandbits, as random.Random and its subclasses
+    do unless one overrides random() and not getrandbits.  On those
+    rngs the values, and the rng's state after, equal randrange's.  The
+    direct loop skips randrange's argument handling, most of a draw's
+    cost; a dynamic grid makes hundreds of draws.
+    """
+    out = []
+    for bound in bounds:
+        x = draw(61)
+        while x >= bound:
+            x = draw(61)
+        out.append(x)
+    return out
+
+
 def random_universal(r: int, rng) -> UniversalHash:
-    """Draw one function u.a.r. from the universal family with range r."""
+    """Draw one function u.a.r. from the universal family with range r:
+    a and b are the randrange(1, p) and randrange(0, p) values."""
     require_int("r", r, 1)
-    a = rng.randrange(1, FIELD_PRIME)
-    b = rng.randrange(0, FIELD_PRIME)
-    return UniversalHash(a, b, r)
+    a, b = _below(rng.getrandbits, (FIELD_PRIME - 1, FIELD_PRIME))
+    return UniversalHash(a + 1, b, r)
 
 
 class KWiseHash(NamedTuple):
@@ -59,26 +79,11 @@ class KWiseHash(NamedTuple):
 
 
 def random_kwise(kappa: int, r: int, rng) -> KWiseHash:
-    """A random degree-(kappa-1) polynomial over the field, range r.
-
-    Each coefficient is a 61-bit getrandbits draw, redrawn while it is
-    at least p: the calls randrange(0, FIELD_PRIME) makes when it draws
-    through getrandbits, as random.Random and its subclasses do unless
-    one overrides random() and not getrandbits.  On those rngs the
-    coefficients, and the rng's state after, equal randrange's.  The
-    direct loop skips randrange's argument handling, most of a draw's
-    cost; a dynamic grid makes most of its draws here.
-    """
+    """A random degree-(kappa-1) polynomial over the field, range r:
+    each coefficient is a randrange(0, p) value."""
     require_int("kappa", kappa, 1)
     require_int("r", r, 1)
-    draw, bits = rng.getrandbits, FIELD_PRIME.bit_length()
-    coeffs = []
-    for _ in range(kappa):
-        c = draw(bits)
-        while c >= FIELD_PRIME:
-            c = draw(bits)
-        coeffs.append(c)
-    return KWiseHash(tuple(coeffs), r)
+    return KWiseHash(tuple(_below(rng.getrandbits, (FIELD_PRIME,) * kappa)), r)
 
 
 class HashScheme(NamedTuple):

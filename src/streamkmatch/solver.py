@@ -2,11 +2,12 @@
 
 Answers are ranked by one rule, `preference`: the heaviest exact
 weight wins, and among equal weights the lexicographically smallest
-sorted tuple of (wt, u, v) beta keys.  Two engines give the same,
-fully deterministic answer:
+sorted tuple of (wt, u, v) beta keys.  Two engines take any (u, v, wt)
+tuples, Edges or plain, and give the same, fully deterministic answer,
+a Matching of Edges:
 
   * max_weight_k_matching: branch and bound on folded integer weights
-    over an exact kernel;
+    over an exact kernel, building Edges only for the answer;
   * brute_force_oracle: exhaustive enumeration of k-subsets, capped at
     24 edges, ranked by `preference` itself as the independent
     cross-check.
@@ -45,7 +46,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import itemgetter
 
-from .core import InfeasibleSize, Matching, Sentinel, require_int
+from .core import Edge, InfeasibleSize, Matching, Sentinel, require_int
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -61,7 +62,8 @@ def preference(answer: Matching) -> tuple:
 
 
 def max_weight_k_matching(edges, k: int):
-    """Best matching of exactly k edges, or NO_K_MATCHING."""
+    """Best matching of exactly k edges, or NO_K_MATCHING.  The edges
+    may be any (u, v, wt) tuples; the answer holds Edges."""
     require_int("k", k, 0)
     if k == 0:
         return Matching(())
@@ -74,7 +76,7 @@ def max_weight_k_matching(edges, k: int):
     pairs = set()
     degree = {}
     for e in order:
-        u, v, _ = e
+        u, v = e[0], e[1]
         pair = (u, v) if u < v else (v, u)
         du, dv = degree.get(u, 0), degree.get(v, 0)
         if du < cap and dv < cap and pair not in pairs:
@@ -86,15 +88,15 @@ def max_weight_k_matching(edges, k: int):
     m = len(kernel)
     if m < k:
         return NO_K_MATCHING
-    # a stable sort by weight keeps (u, v) ascending: beta order
-    by_beta = sorted(kernel, key=itemgetter(2))
-    bonus = {e: 1 << (m - 1 - r) for r, e in enumerate(by_beta)}
-    ratios = [e.wt.as_integer_ratio() for e in kernel]
+    # bonus by kernel position; a stable sort by weight keeps (u, v)
+    # ascending: beta order
+    wts = [e[2] for e in kernel]
+    bonus = [0] * m
+    for r, i in enumerate(sorted(range(m), key=wts.__getitem__)):
+        bonus[i] = 1 << (m - 1 - r)
+    ratios = [wt.as_integer_ratio() for wt in wts]
     den = math.lcm(*[d for _, d in ratios])
-    folded = [
-        (num * (den // d) << (m + 1)) + bonus[e]
-        for (num, d), e in zip(ratios, kernel)
-    ]
+    folded = [(num * (den // d) << (m + 1)) + b for (num, d), b in zip(ratios, bonus)]
     csum = list(accumulate(folded, initial=0))
     # every k-subset weighs at least the k lightest
     best, found = csum[m] - csum[m - k] - 1, None
@@ -105,32 +107,34 @@ def max_weight_k_matching(edges, k: int):
         need = k - len(stack)
         if need and i <= m - need and cur + csum[i + need] - csum[i] > best:
             e = kernel[i]
-            if e.u not in used and e.v not in used:
-                used.add(e.u)
-                used.add(e.v)
+            if e[0] not in used and e[1] not in used:
+                used.add(e[0])
+                used.add(e[1])
                 stack.append(i)
                 cur += folded[i]
             i += 1
             continue
         if not need:
-            best, found = cur, [kernel[j] for j in stack]
+            best, found = cur, stack[:]
         if not stack:
             break
         # back up one level and resume after the popped edge
         i = stack.pop()
         e = kernel[i]
-        used.discard(e.u)
-        used.discard(e.v)
+        used.discard(e[0])
+        used.discard(e[1])
         cur -= folded[i]
         i += 1
     if found is None:
         return NO_K_MATCHING
-    return Matching(tuple(sorted(found, key=lambda e: e.beta)))
+    found.sort(key=bonus.__getitem__, reverse=True)  # the largest bonus first: beta order
+    answer = [kernel[j] for j in found]
+    return Matching(tuple([e if type(e) is Edge else Edge._make(e) for e in answer]))
 
 
 def brute_force_oracle(edges, k: int):
     """Exhaustive reference answer; refuses graphs beyond the edge cap."""
-    edges = list(edges)
+    edges = list(map(Edge._make, edges))
     if len(edges) > BRUTE_FORCE_EDGE_LIMIT:
         raise InfeasibleSize(
             f"{len(edges)} edges exceeds the enumeration cap {BRUTE_FORCE_EDGE_LIMIT}"

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -241,6 +242,28 @@ class TestStreamFormat:
         stream = Stream(6, 1, MODE_INSERT_ONLY, (insert(2, 3, 9), StreamElement(e, INSERT)))
         with pytest.raises(InvalidParameter, match="stream element 1"):
             stream_to_text(stream)
+
+    def test_refuses_a_float_weight_in_a_dynamic_stream(self):
+        # once written as '+ 0 1 1.5', which read_stream refuses in dyn mode
+        stream = Stream(6, 1, MODE_DYNAMIC, (insert(2, 3, 9), insert(0, 1, 1.5)))
+        with pytest.raises(InvalidParameter, match="stream element 1"):
+            stream_to_text(stream)
+        ins = stream._replace(mode=MODE_INSERT_ONLY)
+        assert read_stream(io.StringIO(stream_to_text(ins))) == ins
+
+    def test_refuses_an_int_too_long_to_read_back(self):
+        # str() of an int past the digit limit once raised a bare ValueError
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not digits:
+            pytest.skip("no int digit limit in this interpreter")
+        for mode in (MODE_INSERT_ONLY, MODE_DYNAMIC):
+            for wt in (10 ** digits, 10 ** (digits - 1)):
+                stream = Stream(6, 1, mode, (insert(2, 3, 9), insert(0, 1, wt)))
+                if wt < 10 ** digits:  # exactly at the limit: written and read back
+                    assert read_stream(io.StringIO(stream_to_text(stream))) == stream
+                    continue
+                with pytest.raises(InvalidParameter, match="stream element 1: .* digits"):
+                    stream_to_text(stream)
 
     def test_file_round_trip(self, tmp_path):
         stream = Stream(4, 1, MODE_INSERT_ONLY, (insert(0, 2, 3),))

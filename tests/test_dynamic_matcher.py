@@ -21,6 +21,7 @@ from streamkmatch import (
     NO_K_MATCHING,
     StreamElement,
     delete,
+    edge_index,
     gen_random_stream,
     insert,
     materialize,
@@ -530,7 +531,7 @@ class TestDecodeContract:
         found, fails = m._decode()
         assert fails == 0 and len(found) == 32
         assert {eid for eid, _, _ in found} == {
-            dynamic_matcher.edge_index(e.u, e.v, 200) for e in live
+            edge_index(e.u, e.v, 200) for e in live
         }
         assert m.query().weight == max_weight_k_matching(live, 2).weight
 

@@ -19,6 +19,18 @@ from streamkmatch import (
 )
 
 
+class _Scripted(random.Random):
+    """An rng whose 61-bit draws come from a script."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+
+    def getrandbits(self, k):
+        assert k == 61
+        return self.script.pop(0)
+
+
 class TestFieldPrime:
     def test_value_and_primality(self):
         assert FIELD_PRIME == 2**61 - 1
@@ -58,6 +70,26 @@ class TestUniversalHash:
         h = random_universal(7, rng)
         assert 1 <= h.a < FIELD_PRIME and 0 <= h.b < FIELD_PRIME
         assert all(0 <= h(x) < 7 for x in range(200))
+
+    def test_random_universal_draws_as_randrange_does(self):
+        # a and b, and the rng's state after, match randrange's
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            h = random_universal(1 + seed, rng)
+            want = (ref.randrange(1, FIELD_PRIME), ref.randrange(0, FIELD_PRIME))
+            assert (h.a, h.b) == want
+            assert rng.getstate() == ref.getstate()
+
+    def test_random_universal_redraws_at_the_bound(self):
+        # a is 1 + a draw below p - 1, so p - 1 and p are redrawn for a;
+        # b is a draw below p, so only p is
+        script = [FIELD_PRIME - 1, FIELD_PRIME, 0, FIELD_PRIME, FIELD_PRIME - 1]
+        ref = _Scripted(script)
+        want = (ref.randrange(1, FIELD_PRIME), ref.randrange(0, FIELD_PRIME))
+        assert want == (1, FIELD_PRIME - 1) and not ref.script
+        rng = _Scripted(script)
+        h = random_universal(7, rng)
+        assert (h.a, h.b) == want and not rng.script
 
     def test_bad_range(self):
         with pytest.raises(InvalidParameter):
@@ -102,20 +134,11 @@ class TestKWiseHash:
 
     def test_random_kwise_redraws_values_at_the_prime(self):
         # 2^61 - 1 is the one 61-bit draw at or past p, and is redrawn
-        class Scripted(random.Random):
-            def __init__(self, script):
-                super().__init__(0)
-                self.script = list(script)
-
-            def getrandbits(self, k):
-                assert k == 61
-                return self.script.pop(0)
-
         script = [FIELD_PRIME, 5, FIELD_PRIME, FIELD_PRIME, 0, FIELD_PRIME - 1]
-        ref = Scripted(script)
+        ref = _Scripted(script)
         want = tuple(ref.randrange(0, FIELD_PRIME) for _ in range(3))
         assert want == (5, 0, FIELD_PRIME - 1) and not ref.script
-        rng = Scripted(script)
+        rng = _Scripted(script)
         assert random_kwise(3, 7, rng).coeffs == want and not rng.script
 
     def test_bad_parameters(self):

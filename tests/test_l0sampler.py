@@ -131,6 +131,34 @@ class TestDecoding:
                 assert got.index in live and got.count == 1
 
 
+class TestDecodeRule:
+    def test_one_index_top_with_a_fingerprint_off_by_one_fails(self):
+        s = L0Sampler(64, 0.1, random.Random(9))
+        s._add((0,), 21, s._cell(21, 2, 0) + (1 << s._fp_at))
+        assert not s._full and s.query() is FAIL
+        s._add((0,), 21, -(1 << s._fp_at))  # the true cell decodes
+        assert s.query() == Sample(21, 2)
+
+    def _payloads(self, s, index, *payloads):
+        for p in payloads:
+            s._add((0,), index, s._cell(index, 1, p))
+
+    def test_payload_that_does_not_divide_the_count_fails(self):
+        # two copies of index 21 whose payloads sum to 3, as a one-index
+        # sampler and as a full one (index 40 came and went)
+        for full in (False, True):
+            s = L0Sampler(64, 0.1, random.Random(10))
+            self._payloads(s, 21, 1, 2)
+            if full:
+                s.update(40, 1)
+                s.update(40, -1)
+            assert bool(s._full) == full
+            assert s.query() is FAIL
+            self._payloads(s, 21, 3)  # three copies, payload 6: it divides
+            assert s.query() == Sample(21, 3)
+            assert s._decode()[0] == [(21, 3, 2)]
+
+
 class TestStatistics:
     def test_fail_rate_within_delta_margin(self):
         delta = 0.05

@@ -1,6 +1,7 @@
 """Exact k-matching solver vs the exhaustive oracle."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -166,6 +167,25 @@ class TestFloatWeights:
             edges = _random_instance(rng, weight)
             k = rng.randint(1, 4)
             assert max_weight_k_matching(edges, k) == brute_force_oracle(edges, k)
+
+
+class TestPlainTriples:
+    @pytest.mark.parametrize("weight", [
+        lambda rng: rng.randint(1, 3),
+        lambda rng: rng.randint(0, 8) / 4,
+        lambda rng: Fraction(rng.randint(1, 6), 3),
+    ], ids=["int", "float", "fraction"])
+    def test_answer_equals_the_answer_on_edges(self, weight):
+        # few weights, so ties are common; the answer holds Edges either way
+        rng = random.Random(104)
+        for _ in range(300):
+            edges = _random_instance(rng, weight)
+            triples = [tuple(e) for e in edges]
+            for k in range(5):
+                got = max_weight_k_matching(triples, k)
+                assert got == max_weight_k_matching(edges, k) == brute_force_oracle(triples, k)
+                if got is not NO_K_MATCHING:
+                    assert all(type(e) is Edge for e in got.edges)
 
 
 class TestAgainstNetworkx:
