@@ -24,8 +24,9 @@ unbounded.  Each field holds its sum while the cell has taken fewer
 than 2^63 updates, so cells add as ints: deletions are exact inverses,
 grids with the same randomness merge cell-wise, and a cell is zero
 exactly when all its sums are.  z^i mod p, for the cell an update
-builds and for each decode candidate, comes from a fixed-base table
-drawn up with z (Brickell, Gordon, McCurley & Wilson 1992):
+builds and for each candidate of a full sampler's walk, comes from a
+fixed-base table drawn up with z (Brickell, Gordon, McCurley & Wilson
+1992):
 z^(d * 16^t) for each digit d = 0..15 and each 4-bit digit position t
 of an index, 16 * ceil(bits / 4) ints per grid (bits =
 universe.bit_length(), so polylog n), and z^i is the product of one
@@ -35,13 +36,19 @@ about a fifth of its cost.
 Storage rule.  Each sampler keeps a top cell, the sum of every update
 it has taken (its level-0 suffix in every repetition), dropped at zero.
 While its updates all carry one index and its count is not zero, that
-cell is all it stores: its index sum is exactly count * index, and each
-repetition would hold that one cell at the index's level.  One decode
-rule reads every suffix, in a full sampler's walk and in such a top
-cell alike: a count in (0, 2^63), an index sum that the count divides
-into an index below universe, the fingerprint, and a payload sum that
-the count divides.  A query reads each distinct one-index top cell
-once by that rule, with no walk.  An update with a second index makes
+cell is all it stores: it is count copies of that index's cell, so each
+repetition would hold it at the index's level, and it passes the decode
+rule by construction.  A query reads each distinct one-index top cell
+once, exactly, as the update path does: with a count in (0, 2^63)
+every field below the payload is non-negative, so the index is the
+index sum // count and the payload the payload sum // count, with no
+fingerprint, no range test and no walk.  A payload sum the count
+does not divide (approximation mode: one edge at two weights of one
+key) fails, and so does a count that is not positive (a delete whose
+insert has not arrived).  A full sampler's walk reads each suffix by
+the whole rule: a count in (0, 2^63), an index sum that the count
+divides into an index below universe, the fingerprint, and a payload
+sum that the count divides.  An update with a second index makes
 the sampler full: the top cell is spread to its index's levels, and
 every later update also reaches the per-repetition cells of its
 index's levels.  So does an update that zeroes the count but not the
@@ -64,10 +71,12 @@ Sharing keeps each per-sampler failure bound (a per-cell union bound)
 and buys an order of magnitude on updates.  A matcher sampler's base
 is weight key * d4^2 + pair, so weights need no registry; L0Sampler is
 the grid's single sampler at base 0.  The matcher's payload is the
-true weight, so a query solves on true weights in both modes.  In
-approximation mode the samples hold, w.h.p., a k-matching that is
-optimal on the rounded keys; its true weight is at least OPT/(1+eps),
-and the true-weight optimum of the samples weighs at least as much.
+true weight, so a query solves on true weights in both modes; where an
+unvalidated stream decodes one pair at two weights, the solver's
+kernel keeps the heaviest copy.  In approximation mode the samples
+hold, w.h.p., a k-matching that is optimal on the rounded keys; its
+true weight is at least OPT/(1+eps), and the true-weight optimum of
+the samples weighs at least as much.
 """
 
 from __future__ import annotations
@@ -337,11 +346,44 @@ class CellGrid:
         decoded (index, count, payload per copy) triples, one per
         distinct one-index top cell and one per full sampler that
         decodes, and the fail count, one per sampler that fails."""
+        tops = self.tops
+        full = self._full
+        ones = self._one_tops
+        if ones is None:
+            # a merge left the count stale: count again, taking the full
+            # samplers out by base (+a, +b, -b leaves a full sampler
+            # whose top equals a one-index one)
+            ones = Counter(tops.values())
+            for base in full:
+                ones[tops[base]] -= 1
+            self._one_tops = ones = {top: n for top, n in ones.items() if n}
+        c0_cap = 1 << (_C0_BITS - 1)
+        c1_mask = (1 << (self._fp_at - _C0_BITS)) - 1
+        pay_at = self._fp_at + _FP_BITS
+        found, fails, walks = self._walk() if full else ([], 0, 0)
+        # the storage rule: a one-index top cell is c0 copies of one
+        # index's cell, so with 0 < c0 < 2^63 no field below the payload
+        # is negative and shifts read them exactly
+        for top, n in ones.items():
+            c0 = top & _C0_MASK
+            if 0 < c0 < c0_cap:
+                pay = top >> pay_at
+                if not pay % c0:
+                    found.append((((top >> _C0_BITS) & c1_mask) // c0, c0, pay // c0))
+                    continue
+            fails += n
+        self.last_decodes = walks + len(ones)
+        return found, fails
+
+    def _walk(self):
+        """Walk every full sampler whose count is not zero, reading each
+        suffix by the whole decode rule.  Returns the decoded triples,
+        the fail count and the number of walks."""
         q = FIELD_PRIME
         zpow = self._zpow
         universe = self.universe
         cget = self.cells.get
-        full = self._full
+        tops = self.tops
         shift = self._shift
         lev_bits = self._lev_bits
         c0_mask = _C0_MASK
@@ -383,11 +425,12 @@ class CellGrid:
             c2 = (rest - fp) >> _FP_BITS
             return False if c2 % c0 else (j, c0, c2 // c0)
 
-        def first_decode(walks):
-            """The first suffix that decodes, trying walks in order; a
-            walk ends at a fingerprint match."""
-            for walk in walks:
-                for s in walk:
+        def first_decode(kb):
+            """The first suffix of sampler kb that decodes, trying
+            repetitions in order; a repetition ends at a fingerprint
+            match."""
+            for rep in reps:
+                for s in suffixes(kb | (rep << lev_bits)):
                     got = read(s)
                     if got is not None:
                         if got:
@@ -395,29 +438,16 @@ class CellGrid:
                         break
             return None
 
-        # every repetition of a one-index sampler meets its one top cell
-        # at the index's level, so each distinct one-index top cell is
-        # read once, with no walk, for all the samplers holding it
-        tops = self.tops
-        ones = self._one_tops
-        if ones is None:
-            # a merge left the count stale: count again, taking the full
-            # samplers out by base (+a, +b, -b leaves a full sampler
-            # whose top equals a one-index one)
-            ones = Counter(tops.values())
-            for base in full:
-                ones[tops[base]] -= 1
-            self._one_tops = ones = {top: n for top, n in ones.items() if n}
-        got = []  # (decode or None, samplers it stands for)
-        for base in full:
+        found, fails, walks = [], 0, 0
+        for base in self._full:
             if tops[base] & c0_mask:  # count zero decodes nothing
-                kb = base << shift
-                got.append((first_decode(suffixes(kb | (rep << lev_bits))
-                                         for rep in reps), 1))
-        got += [(read(top) or None, n) for top, n in ones.items()]
-        self.last_decodes = len(got)
-        return ([g for g, _ in got if g is not None],
-                sum(n for g, n in got if g is None))
+                walks += 1
+                got = first_decode(base << shift)
+                if got:
+                    found.append(got)
+                else:
+                    fails += 1
+        return found, fails, walks
 
     def _merge_cells(self, other: "CellGrid") -> None:
         """Add a grid built with the same randomness, sampler by sampler."""
@@ -518,11 +548,13 @@ class DynamicMatcher(CellGrid):
     # -- update path ---------------------------------------------------
 
     def process_update(self, el: StreamElement) -> None:
-        e, op = el
+        try:
+            (u, v, w), op = el
+        except (TypeError, ValueError):
+            raise MalformedStream(self.updates, f"{el!r} is not ((u, v, wt), op)") from None
         if op not in (INSERT, DELETE):
             raise MalformedStream(self.updates, f"unknown op {op!r}")
         d = 1 if op == INSERT else -1
-        u, v, w = e
         if not isinstance(w, int):
             # a weight is part of the cell key (exact mode) and of the
             # cell sums that must cancel exactly (both modes)
@@ -551,14 +583,13 @@ class DynamicMatcher(CellGrid):
     # -- query path ----------------------------------------------------
 
     def query(self):
-        # one edge per decoded index, at the heaviest weight decoded for it
-        # (an unvalidated stream may insert a pair twice): order-free
+        # a decoded id is below the universe, n(n-1)/2: no second check.
+        # An unvalidated stream may decode a pair at two weights; the
+        # solver's kernel keeps the heaviest copy of each pair
         found, self.last_fail_count = self._decode()
-        weights = dict(sorted((eid, wt) for eid, _, wt in found))
         n = self.n
-        # a decoded id is below the universe, n(n-1)/2: no second check
         return max_weight_k_matching(
-            [pair_at(eid, n) + (wt,) for eid, wt in weights.items()], self.k)
+            [pair_at(eid, n) + (wt,) for eid, _, wt in found], self.k)
 
     # -- bookkeeping ---------------------------------------------------
 

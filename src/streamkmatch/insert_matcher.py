@@ -69,7 +69,10 @@ class InsertMatcher:
         return len(self.hashes) * 12 * self.k * self.k + 4 * self.k * self.k
 
     def process_insert(self, e: Edge) -> None:
-        u, v, wt = e
+        try:
+            u, v, wt = e
+        except (TypeError, ValueError):
+            raise MalformedStream(self.arrivals, f"{e!r} is not (u, v, wt)") from None
         if (fault := edge_fault(u, v, wt, self.n)) is not None:
             raise MalformedStream(self.arrivals, fault)
         self.filling.append(e)

@@ -349,6 +349,21 @@ class TestMatcherDoor:
                     m.process_update(insert(0, 1, w))
             assert not m.cells and m.updates == 0
 
+    # a wrongly shaped element once ended in a bare ValueError or TypeError
+    @pytest.mark.parametrize("el", [
+        StreamElement((0, 1), INSERT), None, StreamElement((0, 1, 2, 3), INSERT),
+        (Edge(0, 1, 5), INSERT, 1), (0, 1, 5), 5,
+    ], ids=repr)
+    def test_malformed_element_rejected(self, el):
+        m = DynamicMatcher(10, 1, random.Random(6))
+        m.process_update(insert(0, 1, 5))
+        tops, cells = dict(m.tops), dict(m.cells)
+        with pytest.raises(MalformedStream) as err:
+            m.process_update(el)
+        assert err.value.index == 1
+        assert m.updates == 1 and m.tops == tops and m.cells == cells
+        assert m.query().edges == (Edge(0, 1, 5),)
+
     def test_many_transient_weights_leave_no_alias(self):
         # thousands of distinct exact weights, none of them live
         m = DynamicMatcher(10, 1, random.Random(6))
@@ -510,6 +525,41 @@ class TestDecodeFailures:
         assert m.query() is NO_K_MATCHING
         assert m.last_fail_count == 36
         assert len(m._full) == 6
+
+
+    # k = 1: each edge reaches d2^2 = 36 samplers, all one-index, that
+    # share one top cell; a fail counts once per sampler, a read once per
+    # distinct top cell
+    @pytest.mark.parametrize("updates", [
+        # at eps = 0.9 the weights 2 and 3 share a key: payload 5, count 2
+        (insert(0, 1, 2), insert(0, 1, 3)),
+        (delete(0, 1, 2),),  # a phantom delete: the count is negative
+    ], ids=["payload-does-not-divide", "phantom-delete"])
+    def test_failing_one_index_top_is_pinned(self, updates):
+        m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.9)
+        for el in updates:
+            m.process_update(el)
+        assert m.scheme.d2 ** 2 == len(m.tops) == 36 and not m._full
+        assert len(set(m.tops.values())) == 1
+        assert m.query() is NO_K_MATCHING
+        assert m.last_fail_count == 36
+        assert m.stats()["decodes_last_query"] == 1
+
+    def test_only_a_walk_reads_a_fingerprint_power(self):
+        # a one-index top cell is read exactly, with no power of z; the
+        # walk of a full sampler checks the fingerprint
+        m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.5)
+        for el in (insert(0, 1, 5), insert(2, 3, 5), insert(6, 7, 3)):
+            m.process_update(el)
+        calls = []
+        zpow = m._zpow
+        m._zpow = lambda i: calls.append(i) or zpow(i)
+        assert m.query().edges == (Edge(0, 1, 5),)
+        assert not m._full and calls == []
+        m.process_update(insert(0, 5, 5))  # 1 and 5 share a hash value
+        calls.clear()
+        m.query()
+        assert len(m._full) == 6 and calls
 
 
 class TestDecodeContract:

@@ -107,6 +107,17 @@ class TestMatcherDoor:
         m.process_insert(Edge(3, 9, 5))
         assert m.query().edges == (Edge(3, 9, 5),)
 
+    # a wrongly shaped edge once ended in a bare ValueError or TypeError
+    @pytest.mark.parametrize("e", [(0, 1), 5, None, (0, 1, 5, 7)], ids=repr)
+    def test_malformed_edge_rejected(self, e):
+        m = InsertMatcher(10, 1, 0.25, random.Random(6))
+        m.process_insert(Edge(3, 9, 5))
+        with pytest.raises(MalformedStream) as err:
+            m.process_insert(e)
+        assert err.value.index == 1
+        assert m.arrivals == 1 and m.filling == [Edge(3, 9, 5)]
+        assert m.query().edges == (Edge(3, 9, 5),)
+
     # a str or None weight once raised a bare TypeError
     @pytest.mark.parametrize("wt", [-3, -0.5, math.nan, math.inf, -math.inf, "5", None, 1j])
     def test_bad_weight_rejected(self, wt):

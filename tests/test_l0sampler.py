@@ -74,19 +74,25 @@ class TestFingerprintPowers:
                     assert s._zpow(i) == pow(s.z, i, FIELD_PRIME), (universe, i)
 
     def test_out_of_range_candidate_is_skipped_before_the_table(self):
-        # a suffix that reads as an index at or past universe, with a true
-        # fingerprint, must fail without a table read: the table holds
-        # the digits of indices below 16^rows only
+        # a suffix of a full sampler's walk that reads as an index at or
+        # past universe, with a true fingerprint, must fail without a
+        # table read: the table holds the digits of indices below 16^rows
+        # only.  A one-index top cell holds an index below universe by
+        # construction (test_query_reference's storage-rule test)
         s = L0Sampler(16, 0.5, random.Random(8))
         past = 16 ** len(s._zrows)
         assert s._zpow(past) != pow(s.z, past, FIELD_PRIME)
         read = []
         s._zpow = read.append
+        s._full.add(0)
         for j in (s.universe, past):
-            # count 1 (the low 64 bits), index sum j, fingerprint z^j
-            s.tops[0] = 1 + (j << 64) + (pow(s.z, j, FIELD_PRIME) << s._fp_at)
-            s._one_tops = None
+            # count 1 (the low 64 bits), index sum j, fingerprint z^j, at
+            # the top level of every repetition
+            cell = 1 + (j << 64) + (pow(s.z, j, FIELD_PRIME) << s._fp_at)
+            s.tops[0] = cell
+            s.cells = {(rep << s._lev_bits) | (s.levels - 1): cell for rep in range(s.reps)}
             assert s.query() is FAIL and read == []
+            assert s.last_decodes == 1  # the walk ran
 
 
 class TestDecoding:
@@ -132,11 +138,16 @@ class TestDecoding:
 
 
 class TestDecodeRule:
-    def test_one_index_top_with_a_fingerprint_off_by_one_fails(self):
+    def test_full_sampler_with_a_fingerprint_off_by_one_fails(self):
+        # a full sampler's walk checks the fingerprint (index 40 came and
+        # went); a one-index top cell is exact by construction
         s = L0Sampler(64, 0.1, random.Random(9))
-        s._add((0,), 21, s._cell(21, 2, 0) + (1 << s._fp_at))
-        assert not s._full and s.query() is FAIL
-        s._add((0,), 21, -(1 << s._fp_at))  # the true cell decodes
+        s.update(21, 2)
+        s.update(40, 1)
+        s.update(40, -1)
+        s._add((0,), 21, 1 << s._fp_at)
+        assert s._full and s.query() is FAIL
+        s._add((0,), 21, -(1 << s._fp_at))  # the true cells decode
         assert s.query() == Sample(21, 2)
 
     def _payloads(self, s, index, *payloads):

@@ -9,7 +9,9 @@ so in exact mode the two agree.
 
 The decode reads a count of the samplers per one-index top cell kept
 as updates arrive; after every update it must decode exactly what a
-fresh count over every sampler decodes.
+fresh count over every sampler decodes.  It reads a one-index top cell
+exactly, with no fingerprint or range test, which the storage rule
+allows only if every such cell passes the whole decode rule.
 """
 
 import random
@@ -18,6 +20,7 @@ import pytest
 
 from query_reference import float_key_dynamic_query, per_hash_insert_query, recounting_decode
 from streamkmatch import (
+    FIELD_PRIME,
     NO_K_MATCHING,
     DynamicMatcher,
     InsertMatcher,
@@ -27,6 +30,7 @@ from streamkmatch import (
     insert,
     round_weight,
 )
+from streamkmatch.dynamic_matcher import _C0_BITS, _FP_BITS, _split
 from streamkmatch.solver import preference
 
 
@@ -188,3 +192,42 @@ def test_kept_count_of_an_l0_sampler_decodes_as_the_recount():
         for i, d in ups + [(i, -d) for i, d in reversed(ups)]:
             a.update(i, d)
             _decodes_as_the_recount(a)
+
+
+def _one_index_tops_pass_the_full_rule(g) -> int:
+    """Check every one-index top cell of count in (0, 2^63) by the
+    whole decode rule, fingerprint by pow; returns how many."""
+    checked = 0
+    for base, top in g.tops.items():
+        c0, rest = _split(top, _C0_BITS)
+        if base in g._full or not 0 < c0 < 1 << (_C0_BITS - 1):
+            continue
+        c1, rest = _split(rest, g._fp_at - _C0_BITS)
+        fp = _split(rest, _FP_BITS)[0]
+        j = c1 // c0
+        assert c1 == c0 * j and 0 <= j < g.universe
+        assert (fp - c0 * pow(g.z, j, FIELD_PRIME)) % FIELD_PRIME == 0
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("eps", [None, 0.9])
+@pytest.mark.parametrize("seed", [0, 6, 30, 39])
+def test_one_index_tops_pass_the_full_decode_rule(seed, eps):
+    # the streams of test_kept_count_decodes_as_the_recount: phantom
+    # deletes, repeated inserts, samplers made full and back to zero,
+    # and a merged shard
+    r = random.Random(72_000 + seed)
+    g, shard = (DynamicMatcher(5, 1, random.Random(seed), epsilon=eps) for _ in range(2))
+    live, shard_live = [], []
+    checked = 0
+    for _ in range(60):
+        _unvalidated_update(r, shard, shard_live, eps)
+        checked += _one_index_tops_pass_the_full_rule(shard)
+    for step in range(240):
+        _unvalidated_update(r, g, live, eps)
+        if step == 120:
+            g.merge_from(shard)
+            live += shard_live
+        checked += _one_index_tops_pass_the_full_rule(g)
+    assert checked > 1000
