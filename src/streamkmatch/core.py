@@ -177,12 +177,16 @@ class Matching(NamedTuple):
     @property
     def weight(self) -> Number:
         """The sum of the weights; exact (a Fraction) where a plain sum
-        would overflow (an int weight past the float range next to a
-        float one) or cannot add (a Decimal weight next to a float one)."""
+        would overflow (finite float weights whose float sum is not, or
+        an int weight past the float range next to a float one) or
+        cannot add (a Decimal weight next to a float one)."""
         try:
-            return sum(e.wt for e in self.edges)
+            total = sum(e.wt for e in self.edges)
+            if total != math.inf or any(e.wt == math.inf for e in self.edges):
+                return total
         except (OverflowError, TypeError):
-            return sum(Fraction(e.wt) for e in self.edges)
+            pass
+        return sum(Fraction(e.wt) for e in self.edges)
 
     @property
     def beta_profile(self) -> tuple:

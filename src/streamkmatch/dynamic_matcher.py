@@ -34,33 +34,38 @@ entry per digit of i, reduced once.  It gives pow(z, i, p) exactly, at
 about a fifth of its cost.
 
 Storage rule.  Each sampler keeps a top cell, the sum of every update
-it has taken (its level-0 suffix in every repetition), dropped at zero.
-While its updates all carry one index and its count is not zero, that
-cell is all it stores: it is count copies of that index's cell, so each
-repetition would hold it at the index's level, and it passes the decode
-rule by construction.  A query reads each distinct one-index top cell
-once, exactly, as the update path does: with a count in (0, 2^63)
-every field below the payload is non-negative, so the index is the
-index sum // count and the payload the payload sum // count, with no
-fingerprint, no range test and no walk.  A payload sum the count
-does not divide (approximation mode: one edge at two weights of one
-key) fails, and so does a count that is not positive (a delete whose
-insert has not arrived).  A full sampler's walk reads each suffix by
-the whole rule: a count in (0, 2^63), an index sum that the count
-divides into an index below universe, the fingerprint, and a payload
-sum that the count divides.  An update with a second index makes
-the sampler full: the top cell is spread to its index's levels, and
-every later update also reaches the per-repetition cells of its
-index's levels.  So does an update that zeroes the count but not the
-cell (approximation mode: a delete whose weight differs from its
-insert's but rounds to the same key), while the index can still be
-read.  A full sampler stays full until its top cell is zero; its cells
-are then zero too unless its net multiplicities have a fingerprint sum
-vanishing at z, the same <= universe/q event the decoder accepts as a
-false decode.  The stored state depends on order (+a, +b, -b leaves a
-full sampler; +a merged with +b, -b leaves a one-index one), the decode
-does not; dense_cells() is the order-free view, every sampler spread to
-its levels.  The grid keeps the count of samplers per one-index top
+it has taken (its level-0 suffix in every repetition), dropped at
+zero.  While its updates all carry one index and its count is not
+zero, that cell is all it stores: it is count copies of that index's
+cell, so each repetition would hold it at the index's level.  One rule
+decodes every suffix: it is c0 copies of one index's cell, with c0 its
+count in (0, 2^63) and a payload sum that c0 divides.  A one-index top
+cell meets the first part by construction, so a query reads each
+distinct one once, exactly, as the update path does: every field below
+the payload is non-negative, so the index is the index sum // count
+and the payload the payload sum // count, with no fingerprint, no
+range test and no walk.  A payload sum the count does not divide
+(approximation mode: one edge at two weights of one key) fails, and so
+does a count that is not positive (a delete whose insert has not
+arrived).  A full sampler's walk checks each suffix s against the
+rule: j is the index sum over c0, which c0 must divide and which must
+be below universe, and s matches when s - _cell(j, c0, 0) is zero
+below the payload.  That integer comparison accepts every true decode
+and a strict subset of what a fingerprint test mod p accepts.  A match
+whose payload sum c0 does not divide ends its repetition.  An update
+with a second index makes the sampler full: the top cell is spread to
+its index's levels, and every later update also reaches the
+per-repetition cells of its index's levels.  So does an update that
+zeroes the count but not the cell (approximation mode: a delete whose
+weight differs from its insert's but rounds to the same key), while
+the index can still be read.  A full sampler stays full until its top
+cell is zero; its cells are then zero too unless its net
+multiplicities have a fingerprint sum of zero, inside the
+<= universe/q event (a polynomial vanishing at z) that bounds a false
+decode.  The stored state depends on order (+a, +b, -b leaves a full
+sampler; +a merged with +b, -b leaves a one-index one), the decode
+does not; dense_cells() is the order-free view, every sampler spread
+to its levels.  The grid keeps the count of samplers per one-index top
 cell as updates arrive, so a query reads the distinct cells from that
 count and walks only the full samplers; a merge leaves the count for
 the next query to rebuild in one pass over every sampler.
@@ -360,7 +365,7 @@ class CellGrid:
         c0_cap = 1 << (_C0_BITS - 1)
         c1_mask = (1 << (self._fp_at - _C0_BITS)) - 1
         pay_at = self._fp_at + _FP_BITS
-        found, fails, walks = self._walk() if full else ([], 0, 0)
+        found, fails, walks = self._walk()
         # the storage rule: a one-index top cell is c0 copies of one
         # index's cell, so with 0 < c0 < 2^63 no field below the payload
         # is negative and shifts read them exactly
@@ -376,78 +381,49 @@ class CellGrid:
         return found, fails
 
     def _walk(self):
-        """Walk every full sampler whose count is not zero, reading each
-        suffix by the whole decode rule.  Returns the decoded triples,
-        the fail count and the number of walks."""
-        q = FIELD_PRIME
-        zpow = self._zpow
-        universe = self.universe
-        cget = self.cells.get
-        tops = self.tops
-        shift = self._shift
-        lev_bits = self._lev_bits
-        c0_mask = _C0_MASK
-        c0_cap = 1 << (_C0_BITS - 1)
-        fp_at = self._fp_at
-        c1_mask = (1 << (fp_at - _C0_BITS)) - 1
-        fp_half = 1 << (_FP_BITS - 1)
-        fp_mask = (1 << _FP_BITS) - 1
-        reps = range(self.reps)
-        levels = range(self.levels - 1, -1, -1)
-
-        def suffixes(rb):
-            s = 0
-            for lev in levels:
-                c = cget(rb | lev)
-                if c is not None:  # no cell: the same suffix as above
-                    s += c
-                    yield s
-
-        def read(s):
-            """The (index, count, payload per copy) of suffix s; None if
-            s is not one index, False if its fingerprint matches but its
-            payload does not divide."""
-            # unsigned reads: a decodable suffix has 0 < c0 < 2^63, c1 >= 0
-            c0 = s & c0_mask
-            if not 0 < c0 < c0_cap:
-                return None
-            c1 = (s >> _C0_BITS) & c1_mask
-            if c1 % c0:
-                return None
-            j = c1 // c0
-            if j >= universe:  # also keeps j inside the power table
-                return None
-            # _split inlined: a call per candidate cost 9% of a decode
-            rest = s >> fp_at
-            fp = ((rest + fp_half) & fp_mask) - fp_half
-            if (fp - c0 * zpow(j)) % q:
-                return None
-            c2 = (rest - fp) >> _FP_BITS
-            return False if c2 % c0 else (j, c0, c2 // c0)
-
-        def first_decode(kb):
-            """The first suffix of sampler kb that decodes, trying
-            repetitions in order; a repetition ends at a fingerprint
-            match."""
-            for rep in reps:
-                for s in suffixes(kb | (rep << lev_bits)):
-                    got = read(s)
-                    if got is not None:
-                        if got:
-                            return got
-                        break
-            return None
-
-        found, fails, walks = [], 0, 0
+        """Walk every full sampler whose count is not zero.  Returns the
+        decoded triples, the fail count and the number of walks."""
+        found, walks = [], 0
         for base in self._full:
-            if tops[base] & c0_mask:  # count zero decodes nothing
+            if self.tops[base] & _C0_MASK:  # count zero decodes nothing
                 walks += 1
-                got = first_decode(base << shift)
-                if got:
+                if got := self._first_decode(base << self._shift):
                     found.append(got)
-                else:
-                    fails += 1
-        return found, fails, walks
+        return found, walks - len(found), walks
+
+    def _first_decode(self, kb):
+        """The (index, count, payload per copy) of the first suffix of
+        sampler kb that is c0 copies of one index's cell, trying
+        repetitions in order, or None.  A match whose payload sum c0
+        does not divide ends its repetition."""
+        c0_cap = 1 << (_C0_BITS - 1)
+        c1_mask = (1 << (self._fp_at - _C0_BITS)) - 1
+        pay_at = self._fp_at + _FP_BITS
+        for rep in range(self.reps):
+            rb = kb | (rep << self._lev_bits)
+            s = 0
+            for lev in range(self.levels - 1, -1, -1):
+                c = self.cells.get(rb | lev)
+                if c is None:  # no cell: the same suffix as above
+                    continue
+                s += c
+                # unsigned reads: a match has 0 < c0 < 2^63 and c1 >= 0;
+                # the cheap checks spare most suffixes a _cell build, and
+                # j < universe keeps j inside the power table
+                c0 = s & _C0_MASK
+                if not 0 < c0 < c0_cap:
+                    continue
+                j, r = divmod((s >> _C0_BITS) & c1_mask, c0)
+                if r or j >= self.universe:
+                    continue
+                d = s - self._cell(j, c0, 0)
+                if d & ((1 << pay_at) - 1):  # a field below the payload differs
+                    continue
+                pay, r = divmod(d >> pay_at, c0)
+                if r:
+                    break
+                return j, c0, pay
+        return None
 
     def _merge_cells(self, other: "CellGrid") -> None:
         """Add a grid built with the same randomness, sampler by sampler."""

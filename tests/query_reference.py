@@ -19,7 +19,11 @@ never rank below them.
 The grid's decode keeps a count of the samplers per one-index top cell
 as updates arrive.  Before that, it counted them in one pass over every
 sampler's top cell at each query; `recounting_decode` is that decode,
-and the kept count must give the same triples and fail count.
+and the kept count must give the same triples and fail count.  It also
+keeps the earlier walk as the reference for the current one: each
+suffix read by count range, index range, the fingerprint mod p by
+`pow` and the payload, where the grid now compares the suffix with the
+candidate's cell exactly.
 """
 
 import math

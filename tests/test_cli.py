@@ -4,6 +4,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -219,6 +220,20 @@ class TestRun:
     def test_missing_file_exit_2(self):
         code, _ = run_cli("run-ins", "/nonexistent/stream.txt")
         assert code == 2
+
+    def test_oracle_json_weight_past_the_float_range_is_exact(self, tmp_path):
+        # two finite float weights whose float sum overflows: the weight
+        # is written exactly, never as the non-JSON constant Infinity
+        path = tmp_path / "big.txt"
+        path.write_text("6 2 ins\n+ 0 1 1e308\n+ 2 3 1e308\n")
+        code, out = run_cli("oracle", str(path), "--format", "json")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert Fraction(payload["weight"]) == 2 * Fraction(1e308)
 
     def test_oracle_replays_the_stream_once(self, dyn_stream, monkeypatch):
         calls = []

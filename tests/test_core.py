@@ -157,6 +157,14 @@ class TestMatching:
         assert Matching(edges).weight == exact
         assert max_weight_k_matching(list(edges), 2).weight == exact
 
+    def test_finite_float_weights_past_the_float_range_sum_exactly(self):
+        # each weight is a finite float, but their float sum is inf
+        edges = [Edge(0, 1, 1e308), Edge(2, 3, 1e308)]
+        assert Matching(tuple(edges)).weight == 2 * Fraction(1e308)
+        assert max_weight_k_matching(edges, 2).weight == 2 * Fraction(1e308)
+        # an inf weight, which only a hand-built Edge can carry, stays inf
+        assert Matching((Edge(0, 1, math.inf), Edge(2, 3, 1.0))).weight == math.inf
+
     def test_weight_of_a_decimal_next_to_a_float_is_exact(self):
         # the edge rule admits both, but a Decimal and a float do not add
         edges = [Edge(0, 1, Decimal("0.5")), Edge(2, 3, 2.5)]

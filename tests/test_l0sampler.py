@@ -150,6 +150,33 @@ class TestDecodeRule:
         s._add((0,), 21, -(1 << s._fp_at))  # the true cells decode
         assert s.query() == Sample(21, 2)
 
+    def test_full_sampler_with_a_fingerprint_off_by_p_fails(self):
+        # the fingerprint agrees with index 21's mod p, but the suffix is
+        # not 2 copies of index 21's cell
+        s = L0Sampler(64, 0.1, random.Random(9))
+        s.update(21, 2)
+        s.update(40, 1)
+        s.update(40, -1)
+        s._add((0,), 21, FIELD_PRIME << s._fp_at)
+        assert s._full and s.query() is FAIL
+        s._add((0,), 21, -(FIELD_PRIME << s._fp_at))
+        assert s.query() == Sample(21, 2)
+
+    def test_payload_that_does_not_divide_ends_the_repetition(self):
+        # hand-set cells of one full sampler: repetition 0's top suffix
+        # is index 21 at payloads 1 and 2, which its count 2 does not
+        # divide, and a lower cell would complete it to (21, 3, 2);
+        # repetition 1 holds (21, 1, 5)
+        s = L0Sampler(64, 0.1, random.Random(9))
+        top, rep1 = s.levels - 1, 1 << s._lev_bits
+        s.cells = {
+            top: s._cell(21, 1, 1) + s._cell(21, 1, 2),
+            2: s._cell(21, 1, 3),
+            rep1 | 3: s._cell(21, 1, 5),
+        }
+        s.tops, s._full, s._one_tops = {0: s._cell(21, 1, 5)}, {0}, {}
+        assert s._decode() == ([(21, 1, 5)], 0)
+
     def _payloads(self, s, index, *payloads):
         for p in payloads:
             s._add((0,), index, s._cell(index, 1, p))

@@ -194,6 +194,31 @@ def test_kept_count_of_an_l0_sampler_decodes_as_the_recount():
             _decodes_as_the_recount(a)
 
 
+@pytest.mark.parametrize("eps", [None, 0.25])
+def test_dense_grid_decodes_as_the_recount(eps):
+    # n = 60 gives 12 levels, so each walk starts 11 levels above level
+    # 0; 1 500 edges at k = 1 and two weights, a third of them deleted
+    # again, make over a thousand samplers full, some of whose walks
+    # fail and some of whose repetitions hold cells at three levels
+    g = DynamicMatcher(60, 1, random.Random(3), epsilon=eps)
+    r = random.Random(4)
+    pairs = r.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 1500)
+    live = [(u, v, r.randint(1, 2)) for u, v in pairs]
+    for e in live:
+        g.process_update(insert(*e))
+    for e in live[::3]:
+        g.process_update(delete(*e))
+    assert len(g._full) >= 100 and g.levels == 12
+    per_walk = {}
+    for key in g.cells:
+        per_walk.setdefault(key >> g._lev_bits, []).append(key & ((1 << g._lev_bits) - 1))
+    assert max(map(len, per_walk.values())) >= 3
+    assert min(map(min, per_walk.values())) == 0
+    _decodes_as_the_recount(g)
+    assert g.last_decodes - len(g._one_tops) >= 100  # the walks
+    assert g._decode()[1] > 0
+
+
 def _one_index_tops_pass_the_full_rule(g) -> int:
     """Check every one-index top cell of count in (0, 2^63) by the
     whole decode rule, fingerprint by pow; returns how many."""
