@@ -1,13 +1,17 @@
 """Run perfbench as it is and write one BENCH_<tag>.json trajectory point.
 
-    python3 bench/trajectory.py --tag T [--checkout DIR]
+    python3 bench/trajectory.py --tag T [--checkout DIR] [--parent DIR]
 
 For every workload in the checkout's BENCHMARK.json (default: this
 repository), this script runs `perfbench/run.py --seed 1 --seconds 10`
 in three fresh `--trace 0` processes, interleaved across workloads, and
 then in one `--trace 1` process.  Fresh processes because a run is one
 sample of a bimodal number: dynamic updates, for one, run in a fast or
-a slow process-wide mode.  It changes no harness file.
+a slow process-wide mode.  With `--parent`, the parent checkout's runs
+alternate with the checkout's, workload by workload, the pair's order
+flipping from round to round, so drift in the machine falls on both
+sides alike; the parent's runs go to BENCH_<tag>-parent.json.  It
+changes no harness file.
 BENCH_<tag>.json, at the root of the repository holding this script,
 keeps every run's value with the median and min-max of each end-to-end
 metric, the traced run's per-layer split, each run's correctness facts
@@ -128,43 +132,64 @@ def git_state(checkout: str) -> dict:
             "changed": changed}
 
 
+def measure(checkouts: list, workloads: list, run) -> tuple:
+    """Every checkout's untraced and traced runs of every workload, by
+    checkout then workload.  Untraced runs are interleaved across
+    workloads, and across checkouts within a workload, in an order that
+    flips each round."""
+    plain = {c: {w: [] for w in workloads} for c in checkouts}
+    for i in range(RUNS):
+        for w in workloads:
+            for c in checkouts[::-1] if i % 2 else checkouts:
+                plain[c][w].append(run(c, w, 0))
+    traced = {c: {} for c in checkouts}
+    for w in workloads:
+        for c in checkouts:
+            traced[c][w] = run(c, w, 1)
+    return plain, traced
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="names the file BENCH_<tag>.json")
     parser.add_argument("--checkout", default=ROOT,
                         help="source checkout to measure (default: this repository)")
+    parser.add_argument("--parent", help="parent checkout to measure alternately with "
+                        "the checkout, into BENCH_<tag>-parent.json")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.tag):
         parser.error(f"--tag {args.tag!r} must be letters, digits, '.', '_' or '-'")
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    state = git_state(args.checkout)
+    tags = {args.checkout: args.tag}
+    if args.parent is not None:
+        if os.path.realpath(args.parent) == os.path.realpath(args.checkout):
+            parser.error("--parent must be another checkout than --checkout")
+        tags = {args.parent: f"{args.tag}-parent", **tags}
+    states = {c: git_state(c) for c in tags}
 
-    def run(workload, trace):
-        print(f"{workload} trace={trace}", file=sys.stderr, flush=True)
-        return run_perfbench(args.checkout, workload, trace)
+    def run(checkout, workload, trace):
+        print(f"{tags[checkout]} {workload} trace={trace}", file=sys.stderr, flush=True)
+        return run_perfbench(checkout, workload, trace)
 
-    plain = {w: [] for w in workloads}
-    for _ in range(RUNS):  # interleaved, so drift in the machine spreads evenly
-        for w in workloads:
-            plain[w].append(run(w, 0))
-    traced = {w: run(w, 1) for w in workloads}
-    out = {
-        "tag": args.tag,
-        **state,
-        "python": platform.python_version(),
-        "cores": os.cpu_count(),
-        "seed": SEED,
-        "seconds": SECONDS,
-        "runs": RUNS,
-        "notes": NOTES,
-        "workloads": {w: summarize(w, plain[w], traced[w]) for w in workloads},
-    }
-    path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
-    print(path)
+    plain, traced = measure(list(tags), workloads, run)
+    for c, tag in tags.items():
+        out = {
+            "tag": tag,
+            **states[c],
+            "python": platform.python_version(),
+            "cores": os.cpu_count(),
+            "seed": SEED,
+            "seconds": SECONDS,
+            "runs": RUNS,
+            "notes": NOTES,
+            "workloads": {w: summarize(w, plain[c][w], traced[c][w]) for w in workloads},
+        }
+        path = os.path.join(ROOT, f"BENCH_{tag}.json")
+        with open(path, "w") as fh:
+            json.dump(out, fh, indent=1)
+            fh.write("\n")
+        print(path)
     return 0
 
 

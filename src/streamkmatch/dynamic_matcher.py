@@ -68,20 +68,29 @@ does not; dense_cells() is the order-free view, every sampler spread
 to its levels.  The grid keeps the count of samplers per one-index top
 cell as updates arrive, so a query reads the distinct cells from that
 count and walks only the full samplers; a merge leaves the count for
-the next query to rebuild in one pass over every sampler.
+the next query to rebuild in one pass over every top cell.
 
 All cells live in one dict keyed by (sampler base, repetition, level),
 and all samplers share the level hashes and the fingerprint base z.
 Sharing keeps each per-sampler failure bound (a per-cell union bound)
 and buys an order of magnitude on updates.  A matcher sampler's base
-is weight key * d4^2 + pair, so weights need no registry; L0Sampler is
-the grid's single sampler at base 0.  The matcher's payload is the
-true weight, so a query solves on true weights in both modes; where an
-unvalidated stream decodes one pair at two weights, the solver's
-kernel keeps the heaviest copy.  In approximation mode the samples
-hold, w.h.p., a k-matching that is optimal on the rounded keys; its
-true weight is at least OPT/(1+eps), and the true-weight optimum of
-the samples weighs at least as much.
+is row * d4 + col, with row = weight key * d4 + one of u's d2 hash
+values and col one of v's, so weights need no registry; L0Sampler is
+the grid's single sampler at base 0, row 0 and col 0.  Top cells are
+kept in two levels, row then col, so an update settles its d2 rows, not
+its d2^2 samplers, one at a time: a row that holds none of the cols
+(absent, or holding other cols) takes all d2 cells in C-level dict
+calls, and a row that holds exactly the negated cell at exactly the
+cols, none of them full, is dropped whole.  Only the other rows, where
+the update meets a sampler that holds another index or other copies,
+go base by base.  A merge settles a shard's rows the same way.
+
+The matcher's payload is the true weight, so a query solves on true
+weights in both modes; where an unvalidated stream decodes one pair at
+two weights, the solver's kernel keeps the heaviest copy.  In
+approximation mode the samples hold, w.h.p., a k-matching that is
+optimal on the rounded keys; its true weight is at least OPT/(1+eps),
+and the true-weight optimum of the samples weighs at least as much.
 """
 
 from __future__ import annotations
@@ -90,6 +99,8 @@ import math
 from collections import Counter
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import NamedTuple
 
 from .core import (
@@ -212,17 +223,29 @@ def _split(x: int, bits: int):
 class CellGrid:
     """Many l0-samplers over [0, universe) sharing hashes and cells.
 
-    A sampler is named by an integer base.  `tops` maps each sampler to
-    its top cell, the sum of every update it has taken; its count is
-    the low field.  A one-index sampler stores nothing else: its index
-    is its top cell's index sum over its count.  `_full` holds the
-    bases that keep per-repetition cells in `cells`.  Only positive
-    counts decode: a suffix whose count is zero or negative (a delete
-    whose insert has not arrived) is skipped.
+    A sampler is named by an integer base, row * width + col with
+    0 <= col < width.  `rows` maps each row to a dict from col to the
+    sampler's top cell, the sum of every update it has taken; its count
+    is the low field.  Zero top cells and empty rows are dropped.  A
+    one-index sampler stores nothing else: its index is its top cell's
+    index sum over its count.  `_full` holds the bases that keep
+    per-repetition cells in `cells`.  Only positive counts decode: a
+    suffix whose count is zero or negative (a delete whose insert has
+    not arrived) is skipped.
+
+    An update adds one cell to the samplers at a set of rows crossed
+    with a set of distinct cols.  Each row is settled whole, by C-level
+    dict calls, in three cases: the row is absent (it is made from the
+    cols), holds none of the cols (they are added to it), or holds
+    exactly the negated cell at exactly the cols with none of those
+    bases full (it is dropped).  Any other row takes the per-base rule
+    of `_settle`.  So an update costs O(rows) dict calls while it meets
+    no other sampler content, and O(rows * cols) at worst.
     """
 
-    def __init__(self, universe: int, delta: float, rng):
+    def __init__(self, universe: int, delta: float, rng, width: int = 1):
         require_int("universe", universe, 1)
+        require_int("width", width, 1)
         require_open_unit("delta", delta)
         self.universe = universe
         self.levels = max(universe - 1, 1).bit_length() + 1
@@ -242,7 +265,8 @@ class CellGrid:
                 row.append(row[-1] * zt % FIELD_PRIME)
             rows.append(row)
             zt = row[-1] * zt % FIELD_PRIME
-        self.tops = {}      # base -> top cell, zeros dropped
+        self.width = width
+        self.rows = {}      # row -> {col -> top cell}, zeros and empty rows dropped
         self._full = set()  # the bases that keep per-repetition cells
         # one-index top cell -> the samplers holding it; None after a merge
         self._one_tops = {}
@@ -295,72 +319,105 @@ class CellGrid:
         self._spread(self.cells, base, self._levels_of(self._index_of(top)), top)
         self._full.add(base)
 
-    def _add(self, bases, index: int, cell: int) -> None:
-        """Add cell, whose updates all carry index, to every sampler in
-        bases."""
-        tops = self.tops
+    def _top(self, base):
+        """The top cell of sampler base."""
+        r, c = divmod(base, self.width)
+        return self.rows[r][c]
+
+    def _add(self, rows, cols, index: int, cell: int) -> None:
+        """Add cell, whose updates all carry index, to the sampler of
+        every row and col: bases row * width + col, cols distinct."""
+        grid = self.rows
+        full = self._full
+        fresh = dict.fromkeys(cols, cell)
+        gone = dict.fromkeys(cols, -cell)  # a row that cell cancels
+        made = dropped = 0  # rows settled whole
+        rest = []
+        for r in rows:
+            row = grid.get(r)
+            if row is None:
+                grid[r] = fresh.copy()
+                made += 1
+            elif row.keys().isdisjoint(cols):
+                row.update(fresh)
+                made += 1
+            elif row == gone and (not full or full.isdisjoint([r * self.width + c for c in cols])):
+                del grid[r]
+                dropped += 1
+            else:
+                rest.append((r, row))
+        made *= len(cols)
+        dropped *= len(cols)
+        if rest:
+            m, d = self._settle(rest, cols, index, cell)
+            made += m
+            dropped += d
+            for r, row in rest:
+                if not row:
+                    del grid[r]
+        if (ones := self._one_tops) is not None:
+            if made:
+                _bump(ones, cell, made)
+            if dropped:
+                _bump(ones, -cell, -dropped)
+
+    def _settle(self, rows, cols, index: int, cell: int):
+        """The per-base rule: add cell, whose updates all carry index, to
+        the sampler at each col of each (row, row dict) in rows.  Returns
+        the counts of fresh samplers and of one-index samplers that
+        cancel; the caller drops emptied rows."""
         full = self._full
         ones = self._one_tops
         rls = None  # index's levels, needed only by a full sampler
-        before = len(tops)
-        # bases past the two common branches, and their change to len(tops)
-        rare = grown = 0
-        for base in bases:
-            top = tops.get(base)
-            if top is None:
-                tops[base] = cell
-                continue
-            s = top + cell
-            if base not in full:
-                if not s:  # the one index cancels
-                    del tops[base]
+        made = dropped = 0
+        for r, row in rows:
+            rb = r * self.width
+            for col in cols:
+                top = row.get(col)
+                if top is None:
+                    row[col] = cell
+                    made += 1
                     continue
-                if s & _C0_MASK and self._index_of(top) == index:
-                    tops[base] = s
-                    rare += 1
+                base = rb + col
+                s = top + cell
+                if base not in full:
+                    if not s:  # the one index cancels
+                        del row[col]
+                        dropped += 1
+                        continue
+                    if s & _C0_MASK and self._index_of(top) == index:
+                        row[col] = s
+                        if ones is not None:
+                            _bump(ones, top, -1)
+                            _bump(ones, s, 1)
+                        continue
+                    # a second index, or a count of zero that would lose it
+                    self._make_full(base, top)
                     if ones is not None:
                         _bump(ones, top, -1)
-                        _bump(ones, s, 1)
-                    continue
-                # a second index, or a count of zero that would lose it
-                self._make_full(base, top)
-                if ones is not None:
-                    _bump(ones, top, -1)
-            rare += 1
-            if rls is None:
-                rls = self._levels_of(index)
-            self._spread(self.cells, base, rls, cell)
-            if s:
-                tops[base] = s
-            else:
-                del tops[base]
-                full.discard(base)
-                grown -= 1
-        if ones is not None:
-            # every fresh base took cell and every cancelled one held
-            # -cell: 2 * fresh = both + net, 2 * cancelled = both - net
-            both = len(bases) - rare
-            net = len(tops) - before - grown
-            if both + net:
-                _bump(ones, cell, (both + net) >> 1)
-            if both - net:
-                _bump(ones, -cell, (net - both) >> 1)
+                if rls is None:
+                    rls = self._levels_of(index)
+                self._spread(self.cells, base, rls, cell)
+                if s:
+                    row[col] = s
+                else:
+                    del row[col]
+                    full.discard(base)
+        return made, dropped
 
     def _decode(self):
         """Query every sampler whose count is not zero.  Returns the
         decoded (index, count, payload per copy) triples, one per
         distinct one-index top cell and one per full sampler that
         decodes, and the fail count, one per sampler that fails."""
-        tops = self.tops
-        full = self._full
         ones = self._one_tops
         if ones is None:
-            # a merge left the count stale: count again, taking the full
-            # samplers out by base (+a, +b, -b leaves a full sampler
-            # whose top equals a one-index one)
-            ones = Counter(tops.values())
-            for base in full:
-                ones[tops[base]] -= 1
+            # a merge left the count stale: count again in one pass over
+            # the rows, taking the full samplers out by base (+a, +b, -b
+            # leaves a full sampler whose top equals a one-index one)
+            ones = Counter(chain.from_iterable(map(dict.values, self.rows.values())))
+            for base in self._full:
+                ones[self._top(base)] -= 1
             self._one_tops = ones = {top: n for top, n in ones.items() if n}
         c0_cap = 1 << (_C0_BITS - 1)
         c1_mask = (1 << (self._fp_at - _C0_BITS)) - 1
@@ -385,7 +442,7 @@ class CellGrid:
         decoded triples, the fail count and the number of walks."""
         found, walks = [], 0
         for base in self._full:
-            if self.tops[base] & _C0_MASK:  # count zero decodes nothing
+            if self._top(base) & _C0_MASK:  # count zero decodes nothing
                 walks += 1
                 if got := self._first_decode(base << self._shift):
                     found.append(got)
@@ -430,28 +487,52 @@ class CellGrid:
         if (
             not isinstance(other, CellGrid)
             or other.universe != self.universe
+            or other.width != self.width
             or other.level_hashes != self.level_hashes
             or other.z != self.z
         ):
             raise InvalidParameter("grids built with different randomness")
         self._one_tops = None  # the next decode counts again
-        tops = self.tops
+        grid = self.rows
         full = self._full
-        for base, top in other.tops.items():
-            mine = tops.get(base)
-            if base in other._full:
-                if mine is not None and base not in full:
-                    self._make_full(base, mine)
-                full.add(base)
-                _bump(tops, base, top)
-                if base not in tops:
-                    full.discard(base)
-            elif mine is None:
-                tops[base] = top
-            elif base not in full and not mine + top:
-                del tops[base]
-            else:  # a collision
-                self._add((base,), self._index_of(top), top)
+        w = self.width
+        # a row that holds a shard's full sampler takes the per-base rule
+        shard_full = {base // w for base in other._full}
+        for r, theirs in other.rows.items():
+            row = grid.get(r)
+            if r not in shard_full:
+                if row is None:
+                    grid[r] = theirs.copy()
+                    continue
+                if row.keys().isdisjoint(theirs):
+                    row.update(theirs)
+                    continue
+                if (row.keys() == theirs.keys()
+                        and not any(map(add, map(row.__getitem__, theirs), theirs.values()))
+                        and (not full or full.isdisjoint([r * w + c for c in row]))):
+                    del grid[r]
+                    continue
+            if row is None:
+                row = grid[r] = {}
+            rb = r * w
+            for col, top in theirs.items():
+                base = rb + col
+                mine = row.get(col)
+                if base in other._full:
+                    if mine is not None and base not in full:
+                        self._make_full(base, mine)
+                    full.add(base)
+                    _bump(row, col, top)
+                    if col not in row:
+                        full.discard(base)
+                elif mine is None:
+                    row[col] = top
+                elif base not in full and not mine + top:
+                    del row[col]
+                else:  # a collision
+                    self._settle(((r, row),), (col,), self._index_of(top), top)
+            if not row:
+                del grid[r]
         for key, c in other.cells.items():
             _bump(self.cells, key, c)
 
@@ -461,9 +542,11 @@ class CellGrid:
         plus the stored cells.  Grids that took the same updates, in any
         order and over any sharding, have equal dense cells."""
         dense = dict(self.cells)
-        for base, top in self.tops.items():
-            if base not in self._full:
-                self._spread(dense, base, self._levels_of(self._index_of(top)), top)
+        for r, row in self.rows.items():
+            for col, top in row.items():
+                base = r * self.width + col
+                if base not in self._full:
+                    self._spread(dense, base, self._levels_of(self._index_of(top)), top)
         return dense
 
 
@@ -476,7 +559,7 @@ class L0Sampler(CellGrid):
         if not isinstance(delta, int) or abs(delta) >= 1 << (_C0_BITS - 1):
             raise InvalidParameter(f"multiplicity {delta!r} must be an int of size < 2^63")
         if delta:
-            self._add((0,), index, self._cell(index, delta, 0))
+            self._add((0,), (0,), index, self._cell(index, delta, 0))
 
     def query(self):
         """A decoded (index, multiplicity), or FAIL."""
@@ -514,7 +597,7 @@ class DynamicMatcher(CellGrid):
         self.scheme = build_hash_scheme(n, 2 * k, rng)
         if delta is None:
             delta = default_delta(k)
-        super().__init__(n * (n - 1) // 2, delta, rng)
+        super().__init__(n * (n - 1) // 2, delta, rng, self.scheme.d4)
         self._live = {} if validate else None
         # instrumentation
         self.updates = 0
@@ -549,11 +632,9 @@ class DynamicMatcher(CellGrid):
             key_w = round_weight(w, self.epsilon) if w else -1
         hu = scheme_eval(self.scheme, u)
         hv = scheme_eval(self.scheme, v)
-        d4 = self.scheme.d4
-        wb = key_w * d4 * d4
+        wb = key_w * self.width
         eid = pair_index(u, v, self.n)  # the edge rule passed above
-        rows = [wb + i * d4 for i in hu]
-        self._add([r + j for r in rows for j in hv], eid, self._cell(eid, d, w))
+        self._add([wb + i for i in hu], hv, eid, self._cell(eid, d, w))
         self.updates += 1
 
     # -- query path ----------------------------------------------------
@@ -573,10 +654,15 @@ class DynamicMatcher(CellGrid):
         """(weight keys, live samplers, negative samplers) from one pass
         over the top cells; key -1 is weight 0, and a negative count
         means the stream deleted an absent edge."""
-        live = {base: c for base, top in self.tops.items() if (c := top & _C0_MASK)}
-        d4sq = self.scheme.d4 ** 2
+        keys, live, negative = set(), 0, 0
         sign = 1 << (_C0_BITS - 1)  # the count field read unsigned
-        return len({b // d4sq for b in live}), len(live), sum(c >= sign for c in live.values())
+        for r, row in self.rows.items():
+            counts = [c for top in row.values() if (c := top & _C0_MASK)]
+            if counts:
+                keys.add(r // self.width)
+                live += len(counts)
+                negative += sum(c >= sign for c in counts)
+        return len(keys), live, negative
 
     @property
     def live_sampler_count(self) -> int:

@@ -13,8 +13,9 @@ a Matching of Edges:
     cross-check.
 
 The kernel.  Walk the edges best first (heaviest, then smallest beta)
-and keep an edge if it is the first of its vertex pair and both its
-ends have fewer than 2k - 1 kept edges.  The optimum survives: a later
+and keep an edge if its two ends differ (a self-loop is in no
+matching), it is the first of its vertex pair and both its ends have
+fewer than 2k - 1 kept edges.  The optimum survives: a later
 copy of a kept pair is worse than the kept one, and were an optimum
 edge e dropped at a full end x, one of the 2k - 1 better kept edges at
 x would miss the 2k - 2 vertices of the rest of the optimum, so
@@ -79,7 +80,7 @@ def max_weight_k_matching(edges, k: int):
         u, v = e[0], e[1]
         pair = (u, v) if u < v else (v, u)
         du, dv = degree.get(u, 0), degree.get(v, 0)
-        if du < cap and dv < cap and pair not in pairs:
+        if u != v and du < cap and dv < cap and pair not in pairs:
             kernel.append(e)
             pairs.add(pair)
             degree[u], degree[v] = du + 1, dv + 1

@@ -29,6 +29,7 @@ candidate's cell exactly.
 import math
 from collections import Counter
 
+from grid_reference import flat_tops
 from streamkmatch import NO_K_MATCHING, Edge, matching_of, max_weight_k_matching
 from streamkmatch.core import edge_at_index, edge_index
 from streamkmatch.dynamic_matcher import _C0_BITS, _FP_BITS, round_weight
@@ -109,10 +110,11 @@ def recounting_decode(g):
                     break
         return None
 
-    times = Counter(g.tops.values())
+    tops = flat_tops(g)
+    times = Counter(tops.values())
     got = []
     for base in g._full:
-        top = g.tops[base]
+        top = tops[base]
         times[top] -= 1
         if top & c0_mask:
             kb = base << g._shift

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from grid_reference import flat_tops
 from streamkmatch import (
     DELETE,
     INSERT,
@@ -234,7 +235,7 @@ class TestExactMode:
         m.process_update(insert(0, 1, 5))
         m.process_update(delete(0, 1, 5))
         assert m.query() is NO_K_MATCHING
-        assert not m.cells and not m.tops
+        assert not m.cells and not flat_tops(m)
 
     def test_mostly_optimal_on_random_streams(self):
         hits = 0
@@ -276,7 +277,7 @@ class TestExactMode:
         for el in junk:
             b.process_update(delete(el.edge.u, el.edge.v, el.edge.wt))
         assert a.dense_cells() == b.dense_cells()
-        assert a.tops == b.tops
+        assert flat_tops(a) == flat_tops(b)
 
     def test_instrumentation(self):
         m = DynamicMatcher(30, 2, random.Random(5))
@@ -301,7 +302,7 @@ class TestValidation:
         m = DynamicMatcher(10, 1, random.Random(7))
         m.process_update(delete(0, 1, 5))  # accepted: counts go negative
         m.process_update(insert(0, 1, 5))  # cancels out
-        assert not m.cells and not m.tops
+        assert not m.cells and not flat_tops(m)
 
 
 class TestMatcherDoor:
@@ -357,11 +358,11 @@ class TestMatcherDoor:
     def test_malformed_element_rejected(self, el):
         m = DynamicMatcher(10, 1, random.Random(6))
         m.process_update(insert(0, 1, 5))
-        tops, cells = dict(m.tops), dict(m.cells)
+        tops, cells = flat_tops(m), dict(m.cells)
         with pytest.raises(MalformedStream) as err:
             m.process_update(el)
         assert err.value.index == 1
-        assert m.updates == 1 and m.tops == tops and m.cells == cells
+        assert m.updates == 1 and flat_tops(m) == tops and m.cells == cells
         assert m.query().edges == (Edge(0, 1, 5),)
 
     def test_many_transient_weights_leave_no_alias(self):
@@ -370,7 +371,7 @@ class TestMatcherDoor:
         for w in range(1, 4097):
             m.process_update(insert(0, 1, w))
             m.process_update(delete(0, 1, w))
-        assert not m.cells and not m.tops
+        assert not m.cells and not flat_tops(m)
         assert m.stats()["distinct_weight_keys"] == 0  # keys follow the live set
         m.process_update(insert(0, 1, 5000))
         m.process_update(insert(2, 3, 5000))
@@ -440,11 +441,11 @@ class TestCellFormat:
         assert whole.query().weight == w2 + w3
         left.merge_from(right)
         assert left.dense_cells() == whole.dense_cells()
-        assert left.tops == whole.tops
+        assert flat_tops(left) == flat_tops(whole)
         for el in stream:
             e = el.edge
             whole.process_update(delete(e.u, e.v, e.wt))
-        assert not whole.cells and not whole.tops
+        assert not whole.cells and not flat_tops(whole)
 
     def test_cells_are_not_gc_tracked(self):
         # 20 live edges at k=2 hold about 26 000 cells; as containers the
@@ -471,9 +472,9 @@ class TestSparseSamplers:
         for w, (u, v) in enumerate(pairs):
             m.process_update(insert(u, v, w % 4))
         assert not m._full
-        assert len(m.tops) == 20 * m.scheme.d2 ** 2
+        assert len(flat_tops(m)) == 20 * m.scheme.d2 ** 2
         assert len(m.cells) == 0
-        assert len(m.dense_cells()) == len(m.tops) * m.reps
+        assert len(m.dense_cells()) == len(flat_tops(m)) * m.reps
 
 
 class TestDecodeFailures:
@@ -485,7 +486,7 @@ class TestDecodeFailures:
         m = DynamicMatcher(30, 2, random.Random(5), epsilon=0.5)
         m.process_update(insert(0, 1, 5))
         m.process_update(insert(0, 1, 4))
-        assert len(set(m.tops.values())) == 1
+        assert len(set(flat_tops(m).values())) == 1
         assert m.query() is NO_K_MATCHING
         assert m.last_fail_count == 144
         assert m.stats()["fail_count_last_query"] == 144
@@ -498,7 +499,7 @@ class TestDecodeFailures:
                    insert(2, 3, 4), insert(6, 7, 3)):
             m.process_update(el)
         assert len(m._full) == 6
-        assert len(set(m.tops) - m._full) == 132
+        assert len(set(flat_tops(m)) - m._full) == 132
         assert m.query().edges == (Edge(0, 1, 5),)
         assert m.last_fail_count == 36
 
@@ -508,8 +509,8 @@ class TestDecodeFailures:
         m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.5)
         for el in (insert(0, 1, 5), insert(0, 5, 5), delete(0, 5, 5)):
             m.process_update(el)
-        assert len(m._full) == 6 and len(m.tops) == 36
-        assert len(set(m.tops.values())) == 1
+        assert len(m._full) == 6 and len(flat_tops(m)) == 36
+        assert len(set(flat_tops(m).values())) == 1
         assert m.query().edges == (Edge(0, 1, 5),)
         assert m.last_fail_count == 0
         assert len(m._full) == 6
@@ -521,7 +522,7 @@ class TestDecodeFailures:
         for el in (insert(0, 1, 5), insert(0, 1, 4), insert(0, 5, 5),
                    delete(0, 5, 5)):
             m.process_update(el)
-        assert len(m._full) == 6 and len(set(m.tops.values())) == 1
+        assert len(m._full) == 6 and len(set(flat_tops(m).values())) == 1
         assert m.query() is NO_K_MATCHING
         assert m.last_fail_count == 36
         assert len(m._full) == 6
@@ -539,8 +540,8 @@ class TestDecodeFailures:
         m = DynamicMatcher(10, 1, random.Random(1), epsilon=0.9)
         for el in updates:
             m.process_update(el)
-        assert m.scheme.d2 ** 2 == len(m.tops) == 36 and not m._full
-        assert len(set(m.tops.values())) == 1
+        assert m.scheme.d2 ** 2 == len(flat_tops(m)) == 36 and not m._full
+        assert len(set(flat_tops(m).values())) == 1
         assert m.query() is NO_K_MATCHING
         assert m.last_fail_count == 36
         assert m.stats()["decodes_last_query"] == 1
@@ -730,7 +731,7 @@ class TestMerge:
         # sequential one key for key once one-index samplers are spread
         # to their levels
         assert left.dense_cells() == whole.dense_cells()
-        assert left.tops == whole.tops
+        assert flat_tops(left) == flat_tops(whole)
         a, b = left.query(), whole.query()
         if a is NO_K_MATCHING or b is NO_K_MATCHING:
             assert a is b
@@ -750,7 +751,7 @@ class TestMerge:
         left.merge_from(right)
         assert whole.cells and not left.cells
         assert left.dense_cells() == whole.dense_cells()
-        assert left.tops == whole.tops
+        assert flat_tops(left) == flat_tops(whole)
         assert left.query() == whole.query()
         assert left.last_fail_count == whole.last_fail_count
         assert left.live_sampler_count == whole.live_sampler_count
@@ -770,7 +771,7 @@ class TestMerge:
         right.process_update(b)
         left.merge_from(right)
         assert left.dense_cells() == whole.dense_cells()
-        assert left.tops == whole.tops
+        assert flat_tops(left) == flat_tops(whole)
         assert left.query() == whole.query() == matching_of([Edge(0, 5, 5)])
 
     def test_answer_does_not_depend_on_merge_order(self):
@@ -798,7 +799,7 @@ class TestMerge:
         right.process_update(insert(0, 1, 5))
         with pytest.raises(MalformedStream):
             left.merge_from(right)
-        assert len(left.tops) == left.scheme.d2 ** 2  # nothing merged
+        assert len(flat_tops(left)) == left.scheme.d2 ** 2  # nothing merged
 
     def test_validating_merge_rejects_an_unvalidated_grid(self):
         left = DynamicMatcher(10, 1, random.Random(1), validate=True)
@@ -806,7 +807,7 @@ class TestMerge:
         right.process_update(insert(0, 1, 5))
         with pytest.raises(InvalidParameter):
             left.merge_from(right)
-        assert not left.tops
+        assert not flat_tops(left)
 
     def test_merge_rejects_mismatched_randomness(self):
         a = DynamicMatcher(20, 2, random.Random(1))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from grid_reference import flat_tops
 from streamkmatch import (
     FAIL,
     FIELD_PRIME,
@@ -12,6 +13,7 @@ from streamkmatch import (
     L0Sampler,
     Sample,
 )
+from streamkmatch.dynamic_matcher import CellGrid
 
 
 class TestConstruction:
@@ -89,7 +91,7 @@ class TestFingerprintPowers:
             # count 1 (the low 64 bits), index sum j, fingerprint z^j, at
             # the top level of every repetition
             cell = 1 + (j << 64) + (pow(s.z, j, FIELD_PRIME) << s._fp_at)
-            s.tops[0] = cell
+            s.rows = {0: {0: cell}}
             s.cells = {(rep << s._lev_bits) | (s.levels - 1): cell for rep in range(s.reps)}
             assert s.query() is FAIL and read == []
             assert s.last_decodes == 1  # the walk ran
@@ -119,7 +121,7 @@ class TestDecoding:
             s.update(i, 2)
         for i in (3, 17, 40):
             s.update(i, -2)
-        assert not s.cells and not s.tops
+        assert not s.cells and not flat_tops(s)
         assert s.query() is FAIL
 
     def test_decodes_live_index_only(self):
@@ -145,9 +147,9 @@ class TestDecodeRule:
         s.update(21, 2)
         s.update(40, 1)
         s.update(40, -1)
-        s._add((0,), 21, 1 << s._fp_at)
+        s._add((0,), (0,), 21, 1 << s._fp_at)
         assert s._full and s.query() is FAIL
-        s._add((0,), 21, -(1 << s._fp_at))  # the true cells decode
+        s._add((0,), (0,), 21, -(1 << s._fp_at))  # the true cells decode
         assert s.query() == Sample(21, 2)
 
     def test_full_sampler_with_a_fingerprint_off_by_p_fails(self):
@@ -157,9 +159,9 @@ class TestDecodeRule:
         s.update(21, 2)
         s.update(40, 1)
         s.update(40, -1)
-        s._add((0,), 21, FIELD_PRIME << s._fp_at)
+        s._add((0,), (0,), 21, FIELD_PRIME << s._fp_at)
         assert s._full and s.query() is FAIL
-        s._add((0,), 21, -(FIELD_PRIME << s._fp_at))
+        s._add((0,), (0,), 21, -(FIELD_PRIME << s._fp_at))
         assert s.query() == Sample(21, 2)
 
     def test_payload_that_does_not_divide_ends_the_repetition(self):
@@ -174,12 +176,12 @@ class TestDecodeRule:
             2: s._cell(21, 1, 3),
             rep1 | 3: s._cell(21, 1, 5),
         }
-        s.tops, s._full, s._one_tops = {0: s._cell(21, 1, 5)}, {0}, {}
+        s.rows, s._full, s._one_tops = {0: {0: s._cell(21, 1, 5)}}, {0}, {}
         assert s._decode() == ([(21, 1, 5)], 0)
 
     def _payloads(self, s, index, *payloads):
         for p in payloads:
-            s._add((0,), index, s._cell(index, 1, p))
+            s._add((0,), (0,), index, s._cell(index, 1, p))
 
     def test_payload_that_does_not_divide_the_count_fails(self):
         # two copies of index 21 whose payloads sum to 3, as a one-index
@@ -275,7 +277,7 @@ class TestMergeAndSnapshot:
         for i in (5, 7, 9):
             whole.update(i, 1)
         a.merge(b)
-        assert a.tops == whole.tops and a._full == whole._full == {0}
+        assert flat_tops(a) == flat_tops(whole) and a._full == whole._full == {0}
         assert a.cells == whole.cells
         assert a.dense_cells() == whole.dense_cells()
         assert a.query() == whole.query()
@@ -287,7 +289,7 @@ class TestMergeAndSnapshot:
             a.update(i, 1)
             b.update(i, -1)
         a.merge(b)
-        assert a.tops == {} and a._full == set() and a.cells == {}
+        assert flat_tops(a) == {} and a._full == set() and a.cells == {}
         assert a.query() is FAIL
 
     def test_merge_rejects_mismatched_randomness(self):
@@ -298,6 +300,12 @@ class TestMergeAndSnapshot:
         c = L0Sampler(64, 0.1, random.Random(10))
         with pytest.raises(InvalidParameter):
             a.merge(c)
+        # the same randomness, but bases laid out in rows of another width
+        wide = CellGrid(128, 0.1, random.Random(10), 4)
+        wide._add((0,), (1,), 5, wide._cell(5, 1, 0))
+        with pytest.raises(InvalidParameter):
+            a.merge(wide)
+        assert not a.rows
 
     def test_snapshot_is_deterministic_text(self):
         s = L0Sampler(32, 0.2, random.Random(12))

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from grid_reference import flat_tops
 from query_reference import float_key_dynamic_query, per_hash_insert_query, recounting_decode
 from streamkmatch import (
     FIELD_PRIME,
@@ -164,7 +165,7 @@ def test_kept_count_decodes_as_the_recount(seed, eps):
     for step in range(240):
         full = set(g._full)
         _unvalidated_update(r, g, live, eps)
-        zeroed |= full - g.tops.keys()
+        zeroed |= full - flat_tops(g).keys()
         if step == 120:
             g.merge_from(shard)  # the count is rebuilt at the next decode
             live += shard_live
@@ -223,7 +224,7 @@ def _one_index_tops_pass_the_full_rule(g) -> int:
     """Check every one-index top cell of count in (0, 2^63) by the
     whole decode rule, fingerprint by pow; returns how many."""
     checked = 0
-    for base, top in g.tops.items():
+    for base, top in flat_tops(g).items():
         c0, rest = _split(top, _C0_BITS)
         if base in g._full or not 0 < c0 < 1 << (_C0_BITS - 1):
             continue

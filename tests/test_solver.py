@@ -187,6 +187,24 @@ class TestPlainTriples:
                 if got is not NO_K_MATCHING:
                     assert all(type(e) is Edge for e in got.edges)
 
+    def test_a_self_loop_is_in_no_matching(self):
+        # the heaviest triple is a self-loop, which no matching holds
+        triples = [(0, 0, 10), (1, 2, 1)]
+        assert max_weight_k_matching(triples, 1) == brute_force_oracle(triples, 1)
+        assert max_weight_k_matching(triples, 1) == Matching((Edge(1, 2, 1),))
+        assert max_weight_k_matching(triples, 2) is NO_K_MATCHING
+        assert brute_force_oracle(triples, 2) is NO_K_MATCHING
+        # beside proper edges at random, the engines still agree
+        rng = random.Random(105)
+        for _ in range(200):
+            triples = [tuple(e) for e in _random_instance(rng)]
+            triples += [(x, x, rng.randint(1, 12)) for x in rng.sample(range(4), 2)]
+            for k in range(4):
+                got = max_weight_k_matching(triples, k)
+                assert got == brute_force_oracle(triples, k)
+                if got is not NO_K_MATCHING:
+                    assert all(e.u != e.v for e in got.edges)
+
 
 class TestAgainstNetworkx:
     def test_dense_ties_at_larger_m(self):

@@ -1,4 +1,5 @@
-"""bench/trajectory.py's parsing and summary, without running perfbench."""
+"""bench/trajectory.py's parsing, summary and run order, without running
+perfbench."""
 
 import importlib.util
 import json
@@ -61,4 +62,50 @@ def test_summary_keeps_every_value_and_labels_suspect_metrics():
 def test_bad_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         trajectory.main(argv)
+    assert exc.value.code == 2
+
+
+def test_measure_alternates_the_checkouts_workload_by_workload():
+    calls = []
+    plain, traced = trajectory.measure(
+        ["old", "new"], ["a", "b"], lambda c, w, t: calls.append((c, w, t)) or len(calls))
+    assert calls[:8] == [("old", "a", 0), ("new", "a", 0), ("old", "b", 0), ("new", "b", 0),
+                         ("new", "a", 0), ("old", "a", 0), ("new", "b", 0), ("old", "b", 0)]
+    assert len(calls) == 2 * 2 * (trajectory.RUNS + 1)
+    assert [t for _, _, t in calls[-4:]] == [1] * 4
+    assert plain["old"]["a"] == [1, 6, 9]
+    assert traced["new"]["b"] == len(calls)
+
+
+def test_parent_and_checkout_write_one_file_each(tmp_path, monkeypatch):
+    checkouts = []
+    for name in ("parent", "change"):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "dyn-churn"}]}))
+        checkouts.append(str(d))
+    runs = []
+
+    def fake_run(checkout, workload, trace):
+        runs.append(checkout)
+        return trajectory.parse_run(_output(workload, 1.0 if checkout == checkouts[0] else 2.0))
+
+    monkeypatch.setattr(trajectory, "ROOT", str(tmp_path))
+    monkeypatch.setattr(trajectory, "run_perfbench", fake_run)
+    monkeypatch.setattr(trajectory, "git_state", lambda c: {"commit": c, "clean": True,
+                                                            "changed": []})
+    assert trajectory.main(["--tag", "t", "--parent", checkouts[0],
+                            "--checkout", checkouts[1]]) == 0
+    assert runs.count(checkouts[0]) == runs.count(checkouts[1]) == trajectory.RUNS + 1
+    for tag, checkout, q in (("t-parent", checkouts[0], 1.0), ("t", checkouts[1], 2.0)):
+        out = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
+        assert out["tag"] == tag and out["commit"] == checkout
+        assert out["workloads"]["dyn-churn"]["end_to_end"]["query_ms_p50"]["values"] == \
+            [q] * trajectory.RUNS
+
+
+def test_parent_must_be_another_checkout(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": []}))
+    with pytest.raises(SystemExit) as exc:
+        trajectory.main(["--tag", "t", "--parent", str(tmp_path), "--checkout", str(tmp_path)])
     assert exc.value.code == 2
